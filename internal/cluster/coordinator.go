@@ -21,9 +21,7 @@
 //	POST /v1/nodes/heartbeat           worker liveness (+ piggybacked load report)
 //	POST /v1/nodes/deregister          graceful worker exit
 //	GET  /v1/fleet/nodes               node table: health, schema, in-flight, load
-//	GET  /v1/fleet/advice              hysteresis-damped scale up/down/hold verdict
 //	POST /v1/fleet/nodes/{id}/drain    stop placing on a node (undrain reverses)
-//	GET  /v1/nodes                     deprecated alias of /v1/fleet/nodes
 //	POST /v1/schedule                  proxied single-loop scheduling (cache-affine)
 //	POST /v1/schedule/batch            per-loop fan-out of a batch, reassembled in order
 //	POST /v1/jobs                      async sweep job; returns {id, cells}
@@ -38,7 +36,11 @@
 // fleet mean; beyond that the request spills to the next-ranked node, so a
 // Zipf-hot key saturates neither its owner nor the response contract —
 // responses stay byte-identical wherever they are computed. Every routed
-// unit of work walks the explicit placement protocol in placement.go.
+// unit of work — a schedule request, a batch loop, a sweep cell — is placed
+// by the one function place (hrw.go) and forwarded by the one attempt
+// primitive; sweep cells additionally walk the journaled placement
+// protocol in placement.go, the only placement that must survive a
+// restart.
 //
 // All mutable control-plane state — node registrations, job specs,
 // completed cell fragments — is written through a pluggable store
@@ -132,14 +134,6 @@ type Config struct {
 	// owner spills to the next-ranked node under the bound. 0 picks the
 	// default 1.25; negative disables spilling (pure HRW).
 	LoadBound float64
-	// AdviceHysteresis is how many consecutive reconcile ticks a raw
-	// scaling verdict must hold before /v1/fleet/advice adopts it
-	// (default 3).
-	AdviceHysteresis int
-	// AdviceP99Micros is the worst-node p99 (µs) above which the advisor
-	// recommends scaling up while load is in flight (default 250000 —
-	// 250ms; 0 keeps the default, negative disables the latency trigger).
-	AdviceP99Micros float64
 }
 
 func (c Config) heartbeatInterval() time.Duration {
@@ -222,28 +216,11 @@ func (c Config) maxBodyBytes() int64 {
 func (c Config) loadBound() float64 {
 	switch {
 	case c.LoadBound < 0:
-		return 0 // disabled: placeBounded degenerates to plain HRW
+		return 0 // disabled: place degenerates to plain HRW
 	case c.LoadBound == 0:
 		return 1.25
 	}
 	return c.LoadBound
-}
-
-func (c Config) adviceHysteresis() int {
-	if c.AdviceHysteresis > 0 {
-		return c.AdviceHysteresis
-	}
-	return 3
-}
-
-func (c Config) adviceP99Micros() float64 {
-	switch {
-	case c.AdviceP99Micros < 0:
-		return 0 // latency trigger disabled
-	case c.AdviceP99Micros == 0:
-		return 250_000
-	}
-	return c.AdviceP99Micros
 }
 
 // Coordinator is the gpcoordd daemon. Create with New, serve Handler, and
@@ -280,10 +257,8 @@ type Coordinator struct {
 	jobs jobTable
 
 	// placements is the live table of durable (sweep-cell) placements,
-	// mirroring the store; adv is the fleet scaling advisor behind
-	// GET /v1/fleet/advice.
+	// mirroring the store.
 	placements placementTable
-	adv        advisor
 }
 
 // New returns a running coordinator (its reconciliation loop is live),
@@ -316,14 +291,11 @@ func New(cfg Config) (*Coordinator, error) {
 	c.reg = newRegistry(st, c.storeError)
 	c.shadow.c = c
 	c.jobs.byID = make(map[string]*job)
+	c.placements.byKey = make(map[string]store.PlacementRecord)
 	c.mux.HandleFunc("POST /v1/nodes/register", c.handleRegister)
 	c.mux.HandleFunc("POST /v1/nodes/heartbeat", c.handleHeartbeat)
 	c.mux.HandleFunc("POST /v1/nodes/deregister", c.handleDeregister)
-	// /v1/nodes is the deprecated alias of /v1/fleet/nodes (same handler,
-	// same bytes); kept so pre-fleet-API tooling keeps working.
-	c.mux.HandleFunc("GET /v1/nodes", c.handleNodes)
 	c.mux.HandleFunc("GET /v1/fleet/nodes", c.handleNodes)
-	c.mux.HandleFunc("GET /v1/fleet/advice", c.handleFleetAdvice)
 	c.mux.HandleFunc("POST /v1/fleet/nodes/{id}/drain", c.handleDrain)
 	c.mux.HandleFunc("POST /v1/fleet/nodes/{id}/undrain", c.handleUndrain)
 	c.mux.HandleFunc("POST /v1/schedule", c.handleSchedule)
@@ -394,7 +366,7 @@ func (c *Coordinator) Nodes() []NodeInfo { return c.reg.snapshot() }
 
 // HealthSummary is the body of the coordinator's GET /healthz: liveness
 // plus a one-glance fleet summary (durability mode, node-health counts,
-// running jobs, epoch and the current scaling advice).
+// running jobs and epoch).
 type HealthSummary struct {
 	Status  string `json:"status"`
 	Journal bool   `json:"journal"`
@@ -405,8 +377,7 @@ type HealthSummary struct {
 		Dead     int `json:"dead"`
 		Draining int `json:"draining"`
 	} `json:"nodes"`
-	JobsRunning int    `json:"jobs_running"`
-	Advice      string `json:"advice"`
+	JobsRunning int `json:"jobs_running"`
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -424,16 +395,12 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sum.JobsRunning = c.jobs.running()
-	sum.Advice = c.adv.snapshot().Advice
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(sum)
+	writeJSON(w, http.StatusOK, sum)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	c.metrics.render(w, c.reg.snapshot(), c.jobs.running(), c.epoch.Load(), c.st.Stats(), c.adv.snapshot())
+	c.metrics.render(w, c.reg.snapshot(), c.jobs.running(), c.epoch.Load(), c.st.Stats())
 }
 
 // writeError answers with the fleet-wide error envelope
@@ -447,6 +414,16 @@ func (c *Coordinator) writeError(w http.ResponseWriter, status int, code, format
 	w.WriteHeader(status)
 	_, _ = w.Write(server.MarshalError(code, fmt.Sprintf(format, args...)))
 	_, _ = io.WriteString(w, "\n")
+}
+
+// writeJSON answers with v as indented JSON: the one encoding of every
+// coordinator status and listing body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func (c *Coordinator) readJSON(w http.ResponseWriter, r *http.Request, out any) error {
@@ -529,15 +506,6 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleFleetAdvice answers GET /v1/fleet/advice with the advisor's
-// hysteresis-damped scaling verdict.
-func (c *Coordinator) handleFleetAdvice(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(c.adv.snapshot())
-}
-
 // handleDrain and handleUndrain flip a node's drain flag
 // (POST /v1/fleet/nodes/{id}/drain and /undrain): a draining node keeps
 // its in-flight work and heartbeats but attracts no new placements, and
@@ -559,19 +527,13 @@ func (c *Coordinator) setDrain(w http.ResponseWriter, r *http.Request, draining 
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(c.reg.snapshot())
+	writeJSON(w, http.StatusOK, c.reg.snapshot())
 }
 
 // handleDebugTraces is GET /v1/debug/traces: the most recent placement
 // traces, newest first. Debug surface only — never part of a relayed body.
 func (c *Coordinator) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(c.traces.Recent(64))
+	writeJSON(w, http.StatusOK, c.traces.Recent(64))
 }
 
 // handleDebugTrace is GET /v1/debug/traces/{id}: one placement trace by
@@ -582,10 +544,7 @@ func (c *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusNotFound, server.ErrCodeNotFound, "no trace for request id %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(&t)
+	writeJSON(w, http.StatusOK, &t)
 }
 
 // finishProxy stamps a proxy trace's outcome, exposes its phases in the
@@ -600,18 +559,6 @@ func (c *Coordinator) finishProxy(w http.ResponseWriter, tr *obs.Trace, endpoint
 	}
 	c.traces.Publish(tr)
 	c.metrics.observe(endpoint, outcome, time.Since(start))
-}
-
-// outcomeOf classifies how placement resolved a served request, the
-// low-cardinality outcome label of the duration histogram.
-func outcomeOf(fr fleetResult) string {
-	switch {
-	case fr.failedOver:
-		return "failover"
-	case fr.spilled:
-		return "spill"
-	}
-	return "owner"
 }
 
 // handleSchedule proxies one scheduling request to the fleet: rendezvous
@@ -642,11 +589,9 @@ func (c *Coordinator) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	fr := c.scheduleOnFleet(r.Context(), key, reqBody, tr.ID, tr)
 	if fr.resp != nil {
-		// 2xx and request-defect 4xx relay as-is: a 400 is wrong on
-		// every worker, retrying it elsewhere would just burn the fleet.
 		tr.SetNode(fr.node.id)
 		relayServed(w, fr.node.id, fr.resp)
-		c.finishProxy(w, tr, "schedule", outcomeOf(fr), start)
+		c.finishProxy(w, tr, "schedule", fr.outcome, start)
 		w.WriteHeader(fr.resp.StatusCode)
 		_, _ = w.Write(fr.body)
 		if fr.resp.StatusCode == http.StatusOK {
@@ -654,121 +599,119 @@ func (c *Coordinator) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	switch {
-	case fr.noWorkers:
-		c.metrics.noCapacity.Add(1)
-		c.finishProxy(w, tr, "schedule", "no-workers", start)
-		c.writeError(w, http.StatusServiceUnavailable, server.ErrCodeNoWorkers, "no ready workers")
-	case fr.allSaturated:
+	status, code, msg := c.fleetFailure(fr)
+	if status == http.StatusTooManyRequests {
 		// Every worker shed with 429: the fleet is loaded, not broken.
 		// Relay the single-node backpressure contract so clients back off
 		// instead of hard-retrying a "failure".
-		c.metrics.noCapacity.Add(1)
 		w.Header().Set("Retry-After", "1")
-		c.finishProxy(w, tr, "schedule", "saturated", start)
-		c.writeError(w, http.StatusTooManyRequests, server.ErrCodeSaturated, "every worker is saturated, retry later")
-	default:
-		c.finishProxy(w, tr, "schedule", "error", start)
-		c.writeError(w, http.StatusBadGateway, server.ErrCodeUpstreamFailed, "all workers failed, last: %v", fr.lastErr)
 	}
+	c.finishProxy(w, tr, "schedule", fr.outcome, start)
+	c.writeError(w, status, code, "%s", msg)
 }
 
 // fleetResult is scheduleOnFleet's outcome: a served response (resp != nil,
-// any status below 500 except 429) or a terminal failure classification.
+// any status below 500 except 429) or a failure. outcome says how placement
+// resolved, the low-cardinality outcome label of the duration histogram:
+// owner (the HRW owner served), spill (bounded load moved it), failover (a
+// worker failed first), or a failure — canceled (the client hung up),
+// no-workers (nothing placeable), saturated (every attempt shed with 429)
+// or error.
 type fleetResult struct {
-	node candidate
-	resp *http.Response
-	body []byte
-
-	spilled    bool // the serving node was a bounded-load spill target
-	failedOver bool // at least one worker failed before one served
-
-	noWorkers    bool  // no placeable candidate remained
-	allSaturated bool  // at least one attempt, every one shed with 429
-	lastErr      error // last worker failure; nil when noWorkers
+	node    candidate
+	resp    *http.Response
+	body    []byte
+	outcome string
+	lastErr error // last worker failure
 }
 
-// scheduleOnFleet runs the placement protocol for one singleton schedule
-// body: bounded-load rendezvous placement on the content-address key
-// (Pending→Preparing), then — when the chosen worker fails — the abort edge
-// back to Pending with the node excluded, and the next round places down
-// the HRW ranking. Both the singleton proxy and the batch fan-out ride on
-// it. The placement is transient: it drives the in-flight accounting and
-// the per-transition metrics, then drops when the response is relayed.
-// Every attempt is recorded on tr (nil-safe) and forwarded under reqID, and
-// every failure emits one structured event carrying the request ID, node,
-// attempt number and reason.
+// fleetFailure maps a fleetResult that served nothing to the client-facing
+// status, error code and message — one table for the singleton proxy and
+// the batch fan-out. No placeable worker and a fully saturated fleet both
+// count as shed for lack of capacity.
+func (c *Coordinator) fleetFailure(fr fleetResult) (status int, code, msg string) {
+	switch fr.outcome {
+	case "canceled":
+		// Nobody reads this answer: the client is gone.
+		return http.StatusBadGateway, server.ErrCodeUpstreamFailed, "request canceled by the client"
+	case "no-workers":
+		c.metrics.noCapacity.Add(1)
+		return http.StatusServiceUnavailable, server.ErrCodeNoWorkers, "no ready workers"
+	case "saturated":
+		c.metrics.noCapacity.Add(1)
+		return http.StatusTooManyRequests, server.ErrCodeSaturated, "every worker is saturated, retry later"
+	}
+	return http.StatusBadGateway, server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: %v", fr.lastErr)
+}
+
+// scheduleOnFleet places one singleton schedule body by bounded-load
+// rendezvous hashing on its content-address key and fails fast down the
+// HRW ranking: a worker that fails (transport error, 5xx, 503) is suspected
+// and excluded, a saturated one (429) is excluded without blame, and the
+// next attempt places among the rest. Both the singleton proxy and the
+// batch fan-out ride on it; a client hang-up ends it without blaming any
+// worker. Every attempt is recorded on tr (nil-safe) and forwarded under
+// reqID, and every failure emits one structured event carrying the request
+// ID, node, attempt number and reason.
 func (c *Coordinator) scheduleOnFleet(ctx context.Context, key string, reqBody []byte, reqID string, tr *obs.Trace) fleetResult {
-	pl := c.newPlacement(key, false)
-	defer pl.drop()
-	var lastErr error
-	var everSpilled, failedOver bool
-	allSaturated := true
-	attempt := 0
-	for {
+	w := work{key: key, path: "/v1/schedule", body: reqBody, timeout: c.cfg.scheduleTimeout(), reqID: reqID}
+	exclude := make(map[string]bool)
+	var fr fleetResult
+	spilled, failedOver := false, false
+	for n := 1; ; n++ {
 		placeStart := time.Now()
-		node, owner, rank, spilled, ok := placeBoundedOwner(c.reg.candidates(), key, pl.exclude, c.cfg.loadBound())
+		node, owner, rank, ok := place(c.reg.candidates(), key, exclude, c.cfg.loadBound())
 		if !ok {
 			break
 		}
-		attempt++
-		c.metrics.placements.Add(1)
-		c.reg.countRequest(node.id)
-		pl.prepare(node, spilled)
-		if spilled {
-			everSpilled = true
-			c.reg.countSpill(owner, node.id)
-			c.metrics.noteSpill(key)
-		}
+		spilled = spilled || rank > 0
 		tr.PhaseNote("place", fmt.Sprintf("node=%s rank=%d owner=%s spilled=%t excluded=%d",
-			node.id, rank, owner, spilled, len(pl.exclude)), time.Since(placeStart))
+			node.id, rank, owner, rank > 0, len(exclude)), time.Since(placeStart))
 		proxyStart := time.Now()
-		resp, body, err := c.forward(ctx, node, "/v1/schedule", reqBody, c.cfg.scheduleTimeout(), reqID)
-		switch {
-		case err != nil:
-			// Transport failure or truncated body: the worker is gone or
-			// going — suspect it and fail over down the HRW ranking.
-			c.reg.reportFailure(node.id)
-			c.metrics.failovers.Add(1)
-			pl.abort()
-			failedOver = true
-			lastErr = fmt.Errorf("worker %s: %v", node.id, err)
-			allSaturated = false
-			tr.PhaseNote("proxy", "node="+node.id+" transport-error", time.Since(proxyStart))
-			c.log.Warn("worker attempt failed, failing over",
-				"request", reqID, "node", node.id, "attempt", attempt, "reason", err.Error())
-		case resp.StatusCode >= 500:
-			c.reg.reportFailure(node.id)
-			c.metrics.failovers.Add(1)
-			pl.abort()
-			failedOver = true
-			lastErr = fmt.Errorf("worker %s answered %d: %s", node.id, resp.StatusCode, firstLine(body))
-			allSaturated = false
-			tr.PhaseNote("proxy", fmt.Sprintf("node=%s http-%d", node.id, resp.StatusCode), time.Since(proxyStart))
-			c.log.Warn("worker attempt failed, failing over",
-				"request", reqID, "node", node.id, "attempt", attempt, "reason", fmt.Sprintf("HTTP %d: %s", resp.StatusCode, firstLine(body)))
-		case resp.StatusCode == http.StatusTooManyRequests:
+		a := c.attempt(ctx, ctx, w, node, owner, rank)
+		tr.PhaseNote("proxy", "node="+node.id+" "+a.note(), time.Since(proxyStart))
+		switch a.class {
+		case attemptCanceled:
+			fr.outcome = "canceled"
+			return fr
+		case attemptOK, attemptRejected:
+			// 2xx and request-defect 4xx relay as-is: a 400 is wrong on
+			// every worker, retrying it elsewhere would just burn the fleet.
+			fr.node, fr.resp, fr.body, fr.outcome = node, a.resp, a.body, "owner"
+			switch {
+			case failedOver:
+				fr.outcome = "failover"
+			case spilled:
+				fr.outcome = "spill"
+			}
+			return fr
+		case attemptSaturated:
 			// Saturation is load, not sickness: try another worker without
 			// marking this one suspect.
 			c.metrics.retries.Add(1)
-			pl.abort()
-			lastErr = fmt.Errorf("worker %s saturated", node.id)
-			tr.PhaseNote("proxy", "node="+node.id+" saturated", time.Since(proxyStart))
 			c.log.Info("worker saturated, retrying on another",
-				"request", reqID, "node", node.id, "attempt", attempt)
+				"request", reqID, "node", node.id, "attempt", n)
 		default:
-			pl.ready()
-			tr.PhaseNote("proxy", fmt.Sprintf("node=%s http-%d", node.id, resp.StatusCode), time.Since(proxyStart))
-			return fleetResult{node: node, resp: resp, body: body, spilled: everSpilled, failedOver: failedOver}
+			// Transport failure, truncated body or 5xx: the worker is gone
+			// or going — suspect it and fail over down the HRW ranking.
+			c.reg.reportFailure(node.id)
+			c.metrics.failovers.Add(1)
+			failedOver = true
+			c.log.Warn("worker attempt failed, failing over",
+				"request", reqID, "node", node.id, "attempt", n, "reason", a.reason())
 		}
+		exclude[node.id] = true
+		fr.lastErr = fmt.Errorf("worker %s: %s", node.id, a.reason())
 	}
-	return fleetResult{
-		spilled:      everSpilled,
-		failedOver:   failedOver,
-		noWorkers:    lastErr == nil,
-		allSaturated: lastErr != nil && allSaturated,
-		lastErr:      lastErr,
+	switch {
+	case fr.lastErr == nil:
+		fr.outcome = "no-workers"
+	case failedOver:
+		fr.outcome = "error"
+	default: // every attempt shed with 429
+		fr.outcome = "saturated"
 	}
+	return fr
 }
 
 // handleScheduleBatch fans a /v1/schedule/batch envelope out across the
@@ -838,25 +781,12 @@ func (c *Coordinator) batchElement(ctx context.Context, it *server.BatchItem, lo
 	}
 	start := time.Now()
 	fr := c.scheduleOnFleet(ctx, it.Key, it.Body, loopID, tr)
-	var outcome string
-	var elem []byte
-	switch {
-	case fr.resp != nil:
-		outcome = outcomeOf(fr)
-		elem = bytes.TrimSuffix(fr.body, []byte("\n"))
-	case fr.noWorkers:
-		c.metrics.noCapacity.Add(1)
-		outcome = "no-workers"
-		elem = server.ErrorElement(server.ErrCodeNoWorkers, "no ready workers")
-	case fr.allSaturated:
-		c.metrics.noCapacity.Add(1)
-		outcome = "saturated"
-		elem = server.ErrorElement(server.ErrCodeSaturated, "every worker is saturated, retry later")
-	default:
-		outcome = "error"
-		elem = server.ErrorElement(server.ErrCodeUpstreamFailed, fmt.Sprintf("all workers failed, last: %v", fr.lastErr))
+	elem := bytes.TrimSuffix(fr.body, []byte("\n"))
+	if fr.resp == nil {
+		_, code, msg := c.fleetFailure(fr)
+		elem = server.ErrorElement(code, msg)
 	}
-	c.metrics.observe("batch", outcome, time.Since(start))
+	c.metrics.observe("batch", fr.outcome, time.Since(start))
 	return elem
 }
 
@@ -945,11 +875,105 @@ func (c *Coordinator) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].Node < out.Nodes[j].Node })
 
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Algo-Epoch", strconv.FormatUint(epoch, 10)) // ServeHTTP stamped the pre-flush epoch
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	writeJSON(w, http.StatusOK, out)
+}
+
+// work is one unit of routed work as the attempt primitive forwards it.
+type work struct {
+	key     string // content address: the placement key and spill class
+	path    string // worker endpoint
+	body    []byte
+	timeout time.Duration // bound on one attempt
+	reqID   string        // propagated X-Request-Id
+}
+
+// attemptClass is how one forwarded attempt resolved. Each retry loop maps
+// the classes to its own policy.
+type attemptClass int
+
+const (
+	attemptOK          attemptClass = iota // 200
+	attemptRejected                        // any other status below 500 but 429: the work itself is bad
+	attemptSaturated                       // 429: the worker is loaded, not sick
+	attemptUnavailable                     // 503
+	attemptServerError                     // any other 5xx
+	attemptTransport                       // transport error, timeout, truncated body or per-attempt cancel
+	attemptCanceled                        // the caller itself gave up: no node is to blame
+)
+
+// attemptResult is one attempt's classified answer.
+type attemptResult struct {
+	class attemptClass
+	resp  *http.Response
+	body  []byte
+	err   error
+}
+
+// reason renders the answer for logs and error messages.
+func (a attemptResult) reason() string {
+	if a.err != nil {
+		return a.err.Error()
+	}
+	return fmt.Sprintf("HTTP %d: %s", a.resp.StatusCode, firstLine(a.body))
+}
+
+// note is the answer's trace note.
+func (a attemptResult) note() string {
+	switch a.class {
+	case attemptCanceled:
+		return "canceled"
+	case attemptTransport:
+		return "transport-error"
+	case attemptSaturated:
+		return "saturated"
+	}
+	return fmt.Sprintf("http-%d", a.resp.StatusCode)
+}
+
+// attempt runs one attempt of w on a placed node — the steps the schedule
+// and sweep-cell retry loops share. It counts the placement and the node's
+// request, attributes a bounded-load spill (rank > 0) to the owner that
+// shed the key, holds the node's in-flight count (the load bounded-load
+// placement spills on) across the forward, and classifies the answer.
+//
+// ctx is the caller's own context; fwdCtx, derived from it, is the one the
+// forward runs under. When ctx ends — a client hang-up, a coordinator
+// shutting down — the attempt is attemptCanceled and blames no node; a
+// cancel of fwdCtx alone, the reconciler yanking a cell off a dead node, is
+// a transport failure like any other.
+func (c *Coordinator) attempt(ctx, fwdCtx context.Context, w work, node candidate, owner string, rank int) attemptResult {
+	if err := ctx.Err(); err != nil {
+		return attemptResult{class: attemptCanceled, err: err}
+	}
+	c.metrics.placements.Add(1)
+	c.reg.countRequest(node.id)
+	if rank > 0 {
+		c.metrics.spills.Add(1)
+		c.reg.countSpill(owner, node.id)
+		c.metrics.noteSpill(w.key)
+	}
+	c.reg.incInflight(node.id)
+	resp, body, err := c.forward(fwdCtx, node, w.path, w.body, w.timeout, w.reqID)
+	c.reg.decInflight(node.id)
+	a := attemptResult{resp: resp, body: body, err: err}
+	switch {
+	case err != nil && ctx.Err() != nil:
+		a.class = attemptCanceled
+	case err != nil:
+		a.class = attemptTransport
+	case resp.StatusCode == http.StatusOK:
+		a.class = attemptOK
+	case resp.StatusCode == http.StatusTooManyRequests:
+		a.class = attemptSaturated
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		a.class = attemptUnavailable
+	case resp.StatusCode >= 500:
+		a.class = attemptServerError
+	default:
+		a.class = attemptRejected
+	}
+	return a
 }
 
 // forward posts body to node's path and reads the full response body
@@ -1018,7 +1042,5 @@ func (c *Coordinator) reconcileLoop() {
 			c.log.Warn("node dead, re-placing its work", "node", id, "cells_canceled", canceled)
 		}
 		c.reg.expireDead(c.cfg.deadExpiry())
-		// Fold this tick's fleet observation into the scaling advisor.
-		c.adv.tick(c.reg.snapshot(), c.cfg.adviceHysteresis(), c.cfg.adviceP99Micros())
 	}
 }

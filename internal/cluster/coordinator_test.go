@@ -10,9 +10,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/server"
 )
 
@@ -268,7 +270,7 @@ func TestScheduleRoutingAffinityAndSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted, ok := place(coord.reg.candidates(), key, nil)
+	predicted, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no placement candidate")
 	}
@@ -331,7 +333,7 @@ func TestScheduleFailoverMidRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, _ := place(coord.reg.candidates(), key, nil)
+	target, _, _, _ := place(coord.reg.candidates(), key, nil, 0)
 	victim := workers[target.id]
 	survivorID := "wA"
 	if target.id == "wA" {
@@ -471,5 +473,87 @@ func TestMetricsExposeNodeHealth(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestScheduleClientHangupBlamesNoWorker is the regression test for a client
+// hang-up marking every worker suspect: the proxy forwards under the
+// client's request context, so a client that gives up cancels the attempt
+// in flight. That is nobody's failure — the coordinator must stop without
+// suspecting the node or failing over down the ranking (where every next
+// attempt fails at once for the same reason, until the whole fleet is
+// excluded). The batch fan-out forwards under the same context, and a
+// sweep cell under its job's, which a coordinator shutting down cancels.
+func TestScheduleClientHangupBlamesNoWorker(t *testing.T) {
+	coord, base := startCoordinator(t, slowDetectorConfig())
+	var sweeps atomic.Int64
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Drain the body so net/http watches the connection and cancels
+		// r.Context() when the coordinator abandons the attempt.
+		_, _ = io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/v1/sweep" {
+			sweeps.Add(1)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	})
+	for _, id := range []string{"sA", "sB", "sC"} {
+		registerFakeWorker(t, base, id, "", slow)
+	}
+	client := &http.Client{Timeout: 200 * time.Millisecond}
+	for _, tc := range []struct{ id, path string }{
+		{"hangup0000000001", "/v1/schedule"},
+		{"hangup0000000002", "/v1/schedule/batch"},
+	} {
+		body := scheduleBody(t, "hangup")
+		if tc.path == "/v1/schedule/batch" {
+			body = batchBody(t, []string{"hangupA", "hangupB"}, false)
+		}
+		req, err := http.NewRequest(http.MethodPost, base+tc.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", tc.id)
+		if resp, err := client.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s: answered %d before the client gave up", tc.path, resp.StatusCode)
+		}
+		// The coordinator publishes the request's trace once its handler
+		// is done with the fleet.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if _, ok := coord.traces.Get(tc.id); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: handler never finished after the client hung up", tc.path)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	createJob(t, base, server.SweepRequest{
+		Machines: []machine.Config{*machine.MustClustered(2, 64, 1, 1)},
+		Corpora:  []string{"DSP"},
+		MaxLoops: 1,
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for sweeps.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the job's cell never reached a worker")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	coord.Close() // returns once the cell's dispatcher has exited
+
+	for _, n := range coord.Nodes() {
+		if n.Failures != 0 || n.State != "ready" {
+			t.Errorf("node %s: failures=%d state=%s after hang-ups and shutdown, want 0/ready", n.ID, n.Failures, n.State)
+		}
+	}
+	if got := coord.metrics.failovers.Load(); got != 0 {
+		t.Errorf("failovers = %d after hang-ups and shutdown, want 0", got)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -402,11 +404,7 @@ func (c *Coordinator) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	c.jobs.wg.Add(1)
 	go c.runJob(j)
 
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(j.status(false))
+	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
 // handleListJobs answers GET /v1/jobs: every retained job's summary in
@@ -418,10 +416,7 @@ func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		summaries = append(summaries, j.summary())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(summaries)
+	writeJSON(w, http.StatusOK, summaries)
 }
 
 func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -430,10 +425,7 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusNotFound, server.ErrCodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(j.status(r.URL.Query().Get("partial") == "1"))
+	writeJSON(w, http.StatusOK, j.status(r.URL.Query().Get("partial") == "1"))
 }
 
 func (c *Coordinator) handleJobCSV(w http.ResponseWriter, r *http.Request) {
@@ -449,11 +441,7 @@ func (c *Coordinator) handleJobCSV(w http.ResponseWriter, r *http.Request) {
 	case jobRunning:
 		// Not done yet: answer 202 with the status body so pollers can use
 		// this one endpoint.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(j.status(false))
+		writeJSON(w, http.StatusAccepted, j.status(false))
 	case jobFailed:
 		c.writeError(w, http.StatusInternalServerError, server.ErrCodeInternal, "job %s failed, see its cell_status", j.id)
 	default:
@@ -536,24 +524,33 @@ func (c *Coordinator) runJob(j *job) {
 // post to the worker, and on any node-shaped failure walk the placement
 // protocol's abort edge and re-place on the next-ranked survivor with the
 // failed node excluded. A canceled attempt context is the reconciler
-// yanking the cell off a dead node — the same re-place path. The cell
-// survives a fully excluded fleet by starting its exclusion list over (the
-// fleet may have churned entirely), and waits out an empty fleet rather
-// than failing: workers may still be on their way up. The cell's placement
-// is durable: each transition is journaled, so a coordinator killed
-// mid-cell re-places the cell on the node it was on — including a spill
-// target the load bound had moved it to — instead of recomputing the
-// placement from scratch.
+// yanking the cell off a dead node — the same re-place path. Unlike a
+// schedule request, a cell does not fail fast: it spends an attempt budget
+// only on node-shaped failures, re-places without spending one on load
+// (429, 503), survives a fully excluded fleet by starting its exclusion
+// list over (the fleet may have churned entirely), and waits out an empty
+// fleet rather than failing: workers may still be on their way up. The
+// cell's placement is durable: each transition is journaled, so a
+// coordinator killed mid-cell re-places the cell on the node it was on —
+// including a spill target the load bound had moved it to — instead of
+// recomputing the placement from scratch.
 func (c *Coordinator) runCell(j *job, cl *jobCell) {
-	pl := c.newPlacement(cl.key, true)
+	pl := c.newPlacement(cl.key)
 	defer pl.drop()
+	// Every cell attempt forwards under one deterministic request ID
+	// (<job>.cell<index>), so the worker's sweep trace for this cell is
+	// retrievable by an ID derivable from the job listing alone — and
+	// retried attempts republish under it, newest winning, exactly like
+	// singleton failover.
+	w := work{key: cl.key, path: "/v1/sweep", body: cl.reqBody, timeout: c.cfg.cellTimeout(),
+		reqID: fmt.Sprintf("%s.cell%d", j.id, cl.index)}
 	for {
 		if j.ctx.Err() != nil {
 			c.finishCell(j, cl, nil, "job canceled")
 			return
 		}
 		j.mu.Lock()
-		attempts, exclude, pin := cl.attempts, cloneSet(cl.exclude), j.algoVersion
+		attempts, exclude, pin := cl.attempts, maps.Clone(cl.exclude), j.algoVersion
 		j.mu.Unlock()
 		if attempts >= c.cfg.maxCellAttempts() {
 			c.finishCell(j, cl, nil, fmt.Sprintf("gave up after %d attempts", attempts))
@@ -564,34 +561,25 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			// The job is pinned: never place a cell on a worker running a
 			// different algorithm version, even if that means waiting for
 			// one of the right generation to come (back) up.
-			matching := cands[:0:0]
-			for _, cand := range cands {
-				if cand.version == pin {
-					matching = append(matching, cand)
-				}
-			}
-			if len(matching) < len(cands) {
+			all := len(cands)
+			cands = slices.DeleteFunc(cands, func(cand candidate) bool { return cand.version != pin })
+			if len(cands) < all {
 				c.metrics.versionRefusals.Add(1)
 			}
-			cands = matching
 		}
 		// A journaled hint — the node a pre-restart coordinator had this
 		// cell on — wins over a fresh placement while it is placeable, so
-		// resumed cells land where their work (and cache residency) is.
-		var node candidate
-		var owner string
-		var spilled, ok bool
+		// resumed cells land where their work (and cache residency) is:
+		// placement among the hinted node alone picks it as its own owner.
 		if hint := c.placementHint(cl.key); hint != "" && !exclude[hint] {
 			for _, cand := range cands {
 				if cand.id == hint {
-					node, owner, ok = cand, cand.id, true
+					cands = []candidate{cand}
 					break
 				}
 			}
 		}
-		if !ok {
-			node, owner, _, spilled, ok = placeBoundedOwner(cands, cl.key, exclude, c.cfg.loadBound())
-		}
+		node, owner, rank, ok := place(cands, cl.key, exclude, c.cfg.loadBound())
 		if !ok {
 			if len(exclude) > 0 {
 				j.mu.Lock()
@@ -602,10 +590,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			}
 			// No (version-compatible) workers at all: wait for
 			// registrations instead of failing.
-			select {
-			case <-j.ctx.Done():
-			case <-time.After(c.cfg.reconcileInterval()):
-			}
+			c.pause(j)
 			continue
 		}
 		if node.version != "" {
@@ -613,20 +598,15 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			// concurrently placed onto a different version loses the race
 			// and re-places on the pinned generation (uncounted — the
 			// worker did nothing wrong).
-			raced := false
 			j.mu.Lock()
 			if j.algoVersion == "" {
 				j.algoVersion = node.version
-			} else if j.algoVersion != node.version {
-				raced = true
 			}
+			raced := j.algoVersion != node.version
 			j.mu.Unlock()
 			if raced {
 				c.metrics.versionRefusals.Add(1)
-				j.mu.Lock()
-				cl.exclude[node.id] = true
-				cl.state = cellPending
-				j.mu.Unlock()
+				c.releaseCell(j, cl, node.id, false)
 				continue
 			}
 		}
@@ -640,34 +620,19 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 		cl.attempts++
 		cl.cancel = cancel
 		j.mu.Unlock()
-		c.metrics.placements.Add(1)
-		c.reg.countRequest(node.id)
-		pl.prepare(node, spilled)
-		if spilled {
-			c.reg.countSpill(owner, node.id)
-			c.metrics.noteSpill(cl.key)
-		}
-
-		// Every cell attempt forwards under one deterministic request ID
-		// (<job>.cell<index>), so the worker's sweep trace for this cell is
-		// retrievable by an ID derivable from the job listing alone — and
-		// retried attempts republish under it, newest winning, exactly like
-		// singleton failover.
-		cellID := fmt.Sprintf("%s.cell%d", j.id, cl.index)
-		resp, out, err := c.forward(attemptCtx, node, "/v1/sweep", cl.reqBody, c.cfg.cellTimeout(), cellID)
+		pl.prepare(node.id, rank > 0)
+		a := c.attempt(j.ctx, attemptCtx, w, node, owner, rank)
 		cancel()
 		j.mu.Lock()
 		cl.cancel = nil
 		j.mu.Unlock()
 
-		switch {
-		case err != nil:
-			// Transport error, reconciler cancel or timeout: node-shaped.
-			c.reg.reportFailure(node.id)
-			pl.abort()
-			c.requeueCell(j, cl, node.id, err.Error())
-		case resp.StatusCode == http.StatusOK:
-			rows, ok := cellRows(out)
+		switch a.class {
+		case attemptCanceled:
+			// The job itself ended (coordinator shutdown): the loop head
+			// fails the cell without blaming the node.
+		case attemptOK:
+			rows, ok := cellRows(a.body)
 			if !ok {
 				// A 200 whose CSV is truncated or carries an in-band ERROR
 				// row: the worker failed mid-stream.
@@ -683,17 +648,13 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 				// a mixed-version CSV. Uncounted, like the pin race.
 				c.metrics.versionRefusals.Add(1)
 				pl.abort()
-				j.mu.Lock()
-				cl.attempts--
-				cl.exclude[node.id] = true
-				cl.state = cellPending
-				j.mu.Unlock()
+				c.releaseCell(j, cl, node.id, true)
 				continue
 			}
 			pl.ready()
 			c.finishCell(j, cl, rows, "")
 			return
-		case resp.StatusCode == http.StatusTooManyRequests, resp.StatusCode == http.StatusServiceUnavailable:
+		case attemptSaturated, attemptUnavailable:
 			// Saturated or draining, not sick: another worker takes the
 			// cell. Load must not burn the attempt budget (a transiently
 			// full fleet would fail the job in milliseconds), so the
@@ -703,25 +664,42 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 			// count attempts.
 			c.metrics.retries.Add(1)
 			pl.abort()
-			j.mu.Lock()
-			cl.attempts--
-			cl.exclude[node.id] = true
-			cl.state = cellPending
-			j.mu.Unlock()
-			select {
-			case <-j.ctx.Done():
-			case <-time.After(c.cfg.reconcileInterval()):
-			}
-		case resp.StatusCode >= 500:
+			c.releaseCell(j, cl, node.id, true)
+			c.pause(j)
+		case attemptRejected:
+			// The cell itself is bad; every worker would agree.
+			c.finishCell(j, cl, nil, fmt.Sprintf("worker %s rejected cell: %s", node.id, a.reason()))
+			return
+		default:
+			// Transport error, reconciler cancel, timeout or 5xx:
+			// node-shaped.
 			c.reg.reportFailure(node.id)
 			pl.abort()
-			c.requeueCell(j, cl, node.id, fmt.Sprintf("HTTP %d: %s", resp.StatusCode, firstLine(out)))
-		default:
-			// 4xx: the cell itself is bad; every worker would agree.
-			c.finishCell(j, cl, nil, fmt.Sprintf("worker %s rejected cell: %d %s", node.id, resp.StatusCode, firstLine(out)))
-			return
+			c.requeueCell(j, cl, node.id, a.reason())
 		}
 	}
+}
+
+// pause waits one reconcile interval, or until the job ends.
+func (c *Coordinator) pause(j *job) {
+	select {
+	case <-j.ctx.Done():
+	case <-time.After(c.cfg.reconcileInterval()):
+	}
+}
+
+// releaseCell returns a cell to pending with nodeID excluded from its next
+// placement; refund gives the attempt back when the node did nothing wrong
+// (load, a version change). It returns the cell's attempt count.
+func (c *Coordinator) releaseCell(j *job, cl *jobCell, nodeID string, refund bool) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if refund {
+		cl.attempts--
+	}
+	cl.exclude[nodeID] = true
+	cl.state = cellPending
+	return cl.attempts
 }
 
 // requeueCell walks a cell's failover edge after a node-shaped failure,
@@ -730,11 +708,7 @@ func (c *Coordinator) runCell(j *job, cl *jobCell) {
 func (c *Coordinator) requeueCell(j *job, cl *jobCell, nodeID, reason string) {
 	c.metrics.failovers.Add(1)
 	c.metrics.cellsRequeued.Add(1)
-	j.mu.Lock()
-	cl.exclude[nodeID] = true
-	cl.state = cellPending
-	attempt := cl.attempts
-	j.mu.Unlock()
+	attempt := c.releaseCell(j, cl, nodeID, false)
 	c.log.Warn("cell attempt failed, requeueing",
 		"request", fmt.Sprintf("%s.cell%d", j.id, cl.index),
 		"job", j.id, "cell", cl.index, "node", nodeID,
@@ -783,12 +757,4 @@ func cellRows(body []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return rows, true
-}
-
-func cloneSet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func jobMachines(t *testing.T, coord *Coordinator, maxLoops int) []machine.Confi
 			owners := map[string]bool{}
 			for _, m := range []*machine.Config{pool[i], pool[j]} {
 				for _, corpus := range []string{"SPECfp95", "DSP"} {
-					n, ok := place(cands, cellKey(m, corpus, maxLoops, false), nil)
+					n, _, _, ok := place(cands, cellKey(m, corpus, maxLoops, false), nil, 0)
 					if !ok {
 						t.Fatal("no placement candidates")
 					}
@@ -577,5 +578,106 @@ func TestJobTableBounded(t *testing.T) {
 	}
 	if tbl.get("b") == nil || tbl.get("c") == nil {
 		t.Fatal("running jobs were evicted")
+	}
+}
+
+// TestJobCellRetryClasses pins how a sweep cell's retry loop treats each
+// class of worker answer. One single-cell job runs against two fake
+// workers ranked by the cell key; the first-ranked one gives the answer
+// under test, the second serves a good fragment.
+func TestJobCellRetryClasses(t *testing.T) {
+	req := server.SweepRequest{
+		Machines: []machine.Config{*machine.MustClustered(2, 64, 1, 1)},
+		Corpora:  []string{"DSP"},
+		MaxLoops: 1,
+	}
+	machines, corpora, err := server.ResolveSweep(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := buildJobCells(&req, machines, corpora)
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("want one cell: %d %v", len(cells), err)
+	}
+	ranked := hrwRank([]candidate{{id: "fA"}, {id: "fB"}}, cells[0].key)
+	firstID, secondID := ranked[0].id, ranked[1].id
+	const rows = "DSP,m,prog,1,2,3,4\n"
+
+	status := func(code int, body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(code)
+			io.WriteString(w, body)
+		}
+	}
+	hangUp := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hj, ok := w.(http.Hijacker); ok {
+			if conn, _, err := hj.Hijack(); err == nil {
+				conn.Close()
+			}
+		}
+	})
+	good := status(http.StatusOK, string(sweepCSVHeader)+rows)
+
+	for _, tc := range []struct {
+		name        string
+		first       http.Handler
+		maxAttempts int
+		wantState   string // job state
+		wantAttempt int    // attempts the cell reports
+		wantSecond  bool   // whether the second worker was contacted
+		wantSuspect bool   // whether the first worker is suspected
+	}{
+		// Load re-places the cell without spending an attempt: with a
+		// budget of one, the job still finishes on the second worker.
+		{"429", status(http.StatusTooManyRequests, ""), 1, "done", 1, true, false},
+		{"503", status(http.StatusServiceUnavailable, ""), 1, "done", 1, true, false},
+		// Node-shaped failures spend an attempt and suspect the node.
+		{"transport error", hangUp, 2, "done", 2, true, true},
+		{"500", status(http.StatusInternalServerError, "boom"), 2, "done", 2, true, true},
+		// A 4xx is the cell's own defect: every worker would agree.
+		{"400", status(http.StatusBadRequest, "bad cell"), 8, "failed", 1, false, false},
+		// A 200 whose CSV is not a whole fragment re-places the cell.
+		{"missing header", status(http.StatusOK, rows), 2, "done", 2, true, true},
+		{"error row", status(http.StatusOK, string(sweepCSVHeader)+"ERROR,\"boom\",,,,,\n"), 2, "done", 2, true, true},
+		// The budget is the backstop: one failed attempt of a budget of one
+		// fails the job.
+		{"attempts exhausted", status(http.StatusInternalServerError, "boom"), 1, "failed", 1, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := slowDetectorConfig()
+			cfg.MaxCellAttempts = tc.maxAttempts
+			coord, base := startCoordinator(t, cfg)
+			var secondCalls atomic.Int64
+			registerFakeWorker(t, base, firstID, "", tc.first)
+			registerFakeWorker(t, base, secondID, "", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				secondCalls.Add(1)
+				good(w, r)
+			}))
+
+			ack := createJob(t, base, req)
+			st := waitForJob(t, base, ack.ID, 30*time.Second)
+			if st.State != tc.wantState || len(st.Detail) != 1 {
+				t.Fatalf("job state %q, want %q: %+v", st.State, tc.wantState, st)
+			}
+			if got := st.Detail[0].Attempts; got != tc.wantAttempt {
+				t.Errorf("cell attempts = %d, want %d: %+v", got, tc.wantAttempt, st.Detail[0])
+			}
+			if got := secondCalls.Load() > 0; got != tc.wantSecond {
+				t.Errorf("second worker contacted = %v, want %v", got, tc.wantSecond)
+			}
+			if tc.wantState == "done" {
+				if code, csv := jobCSV(t, base, ack.ID); code != http.StatusOK || string(csv) != string(sweepCSVHeader)+rows {
+					t.Errorf("job CSV: %d %q", code, csv)
+				}
+			}
+			for _, n := range coord.Nodes() {
+				if n.ID != firstID {
+					continue
+				}
+				if suspect := n.Failures > 0 || n.State != "ready"; suspect != tc.wantSuspect {
+					t.Errorf("first worker failures=%d state=%s, want suspected=%v", n.Failures, n.State, tc.wantSuspect)
+				}
+			}
+		})
 	}
 }

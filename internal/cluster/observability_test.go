@@ -148,7 +148,7 @@ func TestRequestIDSurvivesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted, ok := place(coord.reg.candidates(), key, nil)
+	predicted, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no placement candidate")
 	}
@@ -323,7 +323,7 @@ func TestSpillAttribution(t *testing.T) {
 
 	// Hold one in-flight slot on the owner so a concurrent identical request
 	// crosses the bound and spills deterministically.
-	owner, ok := place(coord.reg.candidates(), key, nil)
+	owner, _, _, ok := place(coord.reg.candidates(), key, nil, 0)
 	if !ok {
 		t.Fatal("no owner")
 	}

@@ -7,9 +7,8 @@ import (
 	"repro/internal/store"
 )
 
-// The explicit placement protocol. Every unit of routed work — a proxied
-// /v1/schedule request, a batch loop, a sweep cell — is a placement that
-// walks one state machine:
+// The placement protocol of a sweep cell — the one unit of routed work
+// whose placement must survive a coordinator restart:
 //
 //	Pending ──► Preparing ──► Ready ──► Dropped
 //	   ▲            │           │
@@ -18,20 +17,19 @@ import (
 //	      node failed)      └────┘ (abort: drain canceled)
 //
 // Pending: admitted, no node chosen. Preparing: a node was chosen (by
-// bounded-load HRW) and the work is in flight. Ready: the node answered and
+// bounded-load HRW) and the cell is in flight. Ready: the node answered and
 // owns the key's cache residency. Draining: the node is being retired by an
 // operator and the key will re-place. Dropped: retired. The two abort edges
-// are Preparing→Pending (the chosen node failed; the placement re-enters
+// are Preparing→Pending (the chosen node failed; the cell re-enters
 // placement with the node excluded) and Draining→Ready (the drain was
 // canceled).
 //
-// Schedule-request placements are transient: they walk the machine for the
-// metrics and the in-flight accounting, then drop when the response is
-// relayed. Sweep-cell placements are durable: each transition writes the
-// placement record through the store, so a restarted coordinator knows
-// which node each in-flight cell was on — including a spill target — and
-// re-places it there first instead of bouncing it back to an owner the
-// bound had rejected.
+// Each transition writes the placement record through the store, so a
+// restarted coordinator knows which node each in-flight cell was on —
+// including a spill target — and re-places it there first instead of
+// bouncing it back to an owner the bound had rejected. Schedule and batch
+// requests are transient and do not walk the protocol: the in-flight
+// accounting bounded-load placement needs is all they keep (see attempt).
 
 // placementState is a placement's position in the protocol.
 type placementState int
@@ -76,23 +74,20 @@ func validPlaceEdge(from, to placementState) bool {
 	return false
 }
 
-// placement is one unit of work walking the protocol. Not safe for
-// concurrent use: each belongs to the one goroutine driving its request or
-// cell attempt (the durable table has its own lock).
+// placement is one sweep cell walking the protocol. Not safe for
+// concurrent use: each belongs to the one goroutine driving its cell (the
+// durable table has its own lock).
 type placement struct {
 	c       *Coordinator
 	key     string
-	durable bool // write transitions through the store (sweep cells)
-
 	state   placementState
-	node    candidate
+	node    string
 	spilled bool
-	exclude map[string]bool
 }
 
-// newPlacement admits a key into the protocol at Pending.
-func (c *Coordinator) newPlacement(key string, durable bool) *placement {
-	return &placement{c: c, key: key, durable: durable, state: placePending, exclude: make(map[string]bool)}
+// newPlacement admits a cell's key into the protocol at Pending.
+func (c *Coordinator) newPlacement(key string) *placement {
+	return &placement{c: c, key: key, state: placePending}
 }
 
 // transition moves the placement along one edge, counting it in the
@@ -109,60 +104,31 @@ func (p *placement) transition(to placementState) {
 	p.state = to
 }
 
-// prepare binds the placement to a node (Pending→Preparing) and starts the
-// coordinator-side in-flight accounting bounded-load placement spills on.
-func (p *placement) prepare(node candidate, spilled bool) {
-	p.node = node
-	p.spilled = spilled
-	if spilled {
-		p.c.metrics.spills.Add(1)
-	}
+// prepare binds the placement to a node (Pending→Preparing).
+func (p *placement) prepare(nodeID string, spilled bool) {
+	p.node, p.spilled = nodeID, spilled
 	p.transition(placePreparing)
-	p.c.reg.incInflight(node.id)
-	if p.durable {
-		p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: node.id, State: placePreparing.String(), Spilled: spilled})
-	}
+	p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: nodeID, State: placePreparing.String(), Spilled: spilled})
 }
 
-// abort walks the Preparing→Pending edge after the chosen node failed,
-// excluding it from the next placement round.
+// abort walks the Preparing→Pending edge after the chosen node failed.
 func (p *placement) abort() {
-	p.c.reg.decInflight(p.node.id)
-	p.exclude[p.node.id] = true
 	p.transition(placePending)
-	if p.durable {
-		p.c.delPlacement(p.key)
-	}
+	p.c.delPlacement(p.key)
 }
 
 // ready marks the node's answer landed (Preparing→Ready).
 func (p *placement) ready() {
-	p.c.reg.decInflight(p.node.id)
 	p.transition(placeReady)
-	if p.durable {
-		p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: p.node.id, State: placeReady.String(), Spilled: p.spilled})
-	}
+	p.c.putPlacement(store.PlacementRecord{Key: p.key, Node: p.node, State: placeReady.String(), Spilled: p.spilled})
 }
 
-// drop retires the placement from whatever state it reached. In-flight
-// accounting is released only by ready/abort, so drop from Preparing (a
-// canceled job) must release it too.
+// drop retires the placement from whatever state it reached.
 func (p *placement) drop() {
-	if p.state == placePreparing {
-		p.c.reg.decInflight(p.node.id)
-	}
 	if p.state != placeDropped {
 		p.transition(placeDropped)
 	}
-	if p.durable {
-		p.c.delPlacement(p.key)
-	}
-}
-
-// resetExclusions starts the placement's exclusion list over (the fleet may
-// have churned entirely since the excluded attempts).
-func (p *placement) resetExclusions() {
-	p.exclude = make(map[string]bool)
+	p.c.delPlacement(p.key)
 }
 
 // placementTable is the coordinator's live view of the durable placements,
@@ -177,9 +143,6 @@ type placementTable struct {
 // putPlacement records a durable placement in the live table and the store.
 func (c *Coordinator) putPlacement(rec store.PlacementRecord) {
 	c.placements.mu.Lock()
-	if c.placements.byKey == nil {
-		c.placements.byKey = make(map[string]store.PlacementRecord)
-	}
 	c.placements.byKey[rec.Key] = rec
 	c.placements.mu.Unlock()
 	if err := c.st.PutPlacement(rec); err != nil {

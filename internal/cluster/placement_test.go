@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 )
@@ -15,7 +14,9 @@ import (
 // Unit coverage for bounded-load HRW: the spill order is exactly the HRW
 // ranking, the bound only engages when the owner is actually overloaded,
 // and a fleet where nobody fits still serves from the owner rather than
-// turning placeable capacity into a 503.
+// turning placeable capacity into a 503. place reports the key's owner and
+// the pick's rank in the failover order, which is > 0 exactly when the
+// bound spilled the key.
 func TestPlaceBoundedSpillOrder(t *testing.T) {
 	key := "spill-order-key"
 	base := []candidate{{id: "nA"}, {id: "nB"}, {id: "nC"}}
@@ -31,56 +32,84 @@ func TestPlaceBoundedSpillOrder(t *testing.T) {
 		return out
 	}
 
-	// Idle fleet: perfect cache affinity, the owner always wins.
-	got, spilled, ok := placeBounded(base, key, nil, 1.25)
-	if !ok || spilled || got.id != owner.id {
-		t.Fatalf("idle fleet: got %q spilled=%v ok=%v, want owner %q", got.id, spilled, ok, owner.id)
+	for _, tc := range []struct {
+		name      string
+		nodes     []candidate
+		exclude   map[string]bool
+		bound     float64
+		want      string
+		wantOwner string
+		wantRank  int
+	}{
+		// Idle fleet: perfect cache affinity, the owner always wins.
+		{"idle fleet", base, nil, 1.25, owner.id, owner.id, 0},
+		// Overloaded owner: 8 in flight against an otherwise idle 3-node
+		// fleet puts the owner past ceil(1.25·9/3)=4, so the key spills to
+		// exactly the next node in HRW rank order.
+		{"overloaded owner", withLoad(map[string]int64{owner.id: 8}), nil, 1.25, second.id, owner.id, 1},
+		// Both the owner and the next-ranked node overloaded: the spill
+		// walks one more rank down.
+		{"two overloaded", withLoad(map[string]int64{owner.id: 8, second.id: 8}), nil, 1.25, third.id, owner.id, 2},
+		// Nobody under the bound (a sub-1 bound with uniform load starves
+		// every node): the owner serves anyway instead of failing the
+		// request.
+		{"all over bound", withLoad(map[string]int64{owner.id: 5, second.id: 5, third.id: 5}), nil, 0.5, owner.id, owner.id, 0},
+		// Exclusion composes: with the owner excluded the next-ranked node
+		// is the de-facto owner, not a spill — and can itself spill.
+		{"owner excluded", base, map[string]bool{owner.id: true}, 1.25, second.id, second.id, 0},
+		{"owner excluded, next overloaded", withLoad(map[string]int64{second.id: 8}), map[string]bool{owner.id: true}, 1.25, third.id, second.id, 1},
+	} {
+		got, gotOwner, rank, ok := place(tc.nodes, key, tc.exclude, tc.bound)
+		if !ok || got.id != tc.want || gotOwner != tc.wantOwner || rank != tc.wantRank {
+			t.Errorf("%s: got %q owner %q rank %d ok=%v, want %q owner %q rank %d",
+				tc.name, got.id, gotOwner, rank, ok, tc.want, tc.wantOwner, tc.wantRank)
+		}
 	}
 
-	// Overloaded owner: 8 in flight against an otherwise idle 3-node fleet
-	// puts the owner past ceil(1.25·9/3)=4, so the key spills to exactly
-	// the next node in HRW rank order.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 8}), key, nil, 1.25)
-	if !ok || !spilled || got.id != second.id {
-		t.Fatalf("overloaded owner: got %q spilled=%v ok=%v, want spill to %q", got.id, spilled, ok, second.id)
+	// Against the reference order on many keys: nA's 3 in flight put it
+	// past ceil(1.25·5/3)=3 while nB and nC stay under, so every key nA
+	// owns spills to its second-ranked node and every other key stays put.
+	loaded := withLoad(map[string]int64{"nA": 3, "nB": 1})
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		ref := hrwRank(loaded, k)
+		wantRank := 0
+		if ref[0].id == "nA" {
+			wantRank = 1
+		}
+		got, gotOwner, rank, ok := place(loaded, k, nil, 1.25)
+		if !ok || got.id != ref[wantRank].id || gotOwner != ref[0].id || rank != wantRank {
+			t.Fatalf("%s: got %q owner %q rank %d, want %q owner %q rank %d",
+				k, got.id, gotOwner, rank, ref[wantRank].id, ref[0].id, wantRank)
+		}
 	}
 
-	// Both the owner and the next-ranked node overloaded: the spill walks
-	// one more rank down.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 8, second.id: 8}), key, nil, 1.25)
-	if !ok || !spilled || got.id != third.id {
-		t.Fatalf("two overloaded: got %q spilled=%v ok=%v, want spill to %q", got.id, spilled, ok, third.id)
-	}
-
-	// Nobody under the bound (a sub-1 bound with uniform load starves every
-	// node): the owner serves anyway instead of failing the request.
-	got, spilled, ok = placeBounded(withLoad(map[string]int64{owner.id: 5, second.id: 5, third.id: 5}), key, nil, 0.5)
-	if !ok || spilled || got.id != owner.id {
-		t.Fatalf("all over bound: got %q spilled=%v ok=%v, want owner %q fallback", got.id, spilled, ok, owner.id)
-	}
-
-	// Exclusion composes: with the owner excluded the next-ranked node is
-	// the de-facto owner, not a spill.
-	got, spilled, ok = placeBounded(base, key, map[string]bool{owner.id: true}, 1.25)
-	if !ok || spilled || got.id != second.id {
-		t.Fatalf("owner excluded: got %q spilled=%v ok=%v, want %q", got.id, spilled, ok, second.id)
-	}
-
-	// bound <= 0 degenerates to plain HRW place().
-	want, wantOK := place(base, key, map[string]bool{owner.id: true})
-	got, spilled, ok = placeBounded(base, key, map[string]bool{owner.id: true}, 0)
-	if ok != wantOK || spilled || got.id != want.id {
-		t.Fatalf("bound 0: got %q spilled=%v ok=%v, want place() result %q", got.id, spilled, ok, want.id)
+	// bound ≤ 0 is plain HRW whatever the load: the first non-excluded
+	// entry of hrwRank, its own owner, never a spill.
+	for _, bound := range []float64{0, -1} {
+		exclude := map[string]bool{}
+		for _, want := range ranked {
+			got, gotOwner, rank, ok := place(withLoad(map[string]int64{owner.id: 8}), key, exclude, bound)
+			if !ok || got.id != want.id || gotOwner != want.id || rank != 0 {
+				t.Fatalf("bound %v, excluded %v: got %q owner %q rank %d ok=%v, want %q",
+					bound, exclude, got.id, gotOwner, rank, ok, want.id)
+			}
+			exclude[want.id] = true
+		}
+		if _, _, _, ok := place(base, key, exclude, bound); ok {
+			t.Fatalf("bound %v: placed with every node excluded", bound)
+		}
 	}
 
 	// Empty eligible set: not placeable.
-	if _, _, ok = placeBounded(nil, key, nil, 1.25); ok {
-		t.Fatal("no candidates: placeBounded reported ok")
+	if _, _, _, ok := place(nil, key, nil, 1.25); ok {
+		t.Fatal("no candidates: place reported ok")
 	}
 }
 
-// The placement protocol's transition table: legal edges are counted,
-// illegal ones are refused, counted, and leave the state untouched.
+// The placement protocol's transition table: legal edges are counted and
+// journaled, illegal ones are refused, counted, and leave the state
+// untouched.
 func TestPlacementProtocolTransitions(t *testing.T) {
 	coord, err := New(testConfig())
 	if err != nil {
@@ -88,29 +117,26 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 	defer coord.Close()
 
-	pl := coord.newPlacement("proto-key", false)
+	pl := coord.newPlacement("proto-key")
 	if pl.state != placePending {
 		t.Fatalf("new placement state %v, want pending", pl.state)
 	}
-	pl.prepare(candidate{id: "ghost"}, true)
-	if pl.state != placePreparing {
-		t.Fatalf("after prepare: %v", pl.state)
-	}
-	if got := coord.metrics.spills.Load(); got != 1 {
-		t.Fatalf("spills = %d, want 1", got)
+	pl.prepare("ghost", true)
+	if pl.state != placePreparing || coord.placementHint("proto-key") != "ghost" {
+		t.Fatalf("after prepare: state %v hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	pl.abort()
-	if pl.state != placePending || !pl.exclude["ghost"] {
-		t.Fatalf("after abort: state %v exclude %v", pl.state, pl.exclude)
+	if pl.state != placePending || coord.placementHint("proto-key") != "" {
+		t.Fatalf("after abort: state %v hint %q", pl.state, coord.placementHint("proto-key"))
 	}
-	pl.prepare(candidate{id: "ghost2"}, false)
+	pl.prepare("ghost2", false)
 	pl.ready()
-	if pl.state != placeReady {
-		t.Fatalf("after ready: %v", pl.state)
+	if pl.state != placeReady || coord.placementHint("proto-key") != "ghost2" {
+		t.Fatalf("after ready: state %v hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	pl.drop()
-	if pl.state != placeDropped {
-		t.Fatalf("after drop: %v", pl.state)
+	if pl.state != placeDropped || coord.placementHint("proto-key") != "" {
+		t.Fatalf("after drop: state %v hint %q", pl.state, coord.placementHint("proto-key"))
 	}
 	for _, tc := range []struct {
 		from, to placementState
@@ -127,7 +153,7 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 
 	// Illegal edge: Pending→Ready is not in the protocol.
-	bad := coord.newPlacement("bad-key", false)
+	bad := coord.newPlacement("bad-key")
 	bad.transition(placeReady)
 	if bad.state != placePending {
 		t.Fatalf("illegal transition changed state to %v", bad.state)
@@ -137,36 +163,24 @@ func TestPlacementProtocolTransitions(t *testing.T) {
 	}
 }
 
-// The /v1/fleet API group: /v1/fleet/nodes supersedes /v1/nodes (same
-// listing, old path still answering), the listing carries the load and
-// schema fields, and /v1/fleet/advice returns a well-formed verdict.
+// The /v1/fleet API group: /v1/fleet/nodes carries the load and schema
+// fields, and the removed surfaces — the deprecated /v1/nodes alias and
+// the /v1/fleet/advice scaling verdict — are gone.
 func TestFleetNodesAndAdvice(t *testing.T) {
 	coord, base := startCoordinator(t, testConfig())
 	startWorker(t, base, "wA")
 	startWorker(t, base, "wB")
 	waitForStates(t, coord, map[string]string{"wA": "ready", "wB": "ready"})
 
-	getJSON := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, into); err != nil {
-			t.Fatalf("GET %s: %v\n%s", path, err, body)
-		}
+	resp, err := http.Get(base + "/v1/fleet/nodes")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var fleet, legacy []map[string]any
-	getJSON("/v1/fleet/nodes", &fleet)
-	getJSON("/v1/nodes", &legacy)
-	if len(fleet) != 2 || len(legacy) != 2 {
-		t.Fatalf("fleet=%d legacy=%d nodes, want 2 each", len(fleet), len(legacy))
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var fleet []map[string]any
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &fleet) != nil || len(fleet) != 2 {
+		t.Fatalf("GET /v1/fleet/nodes: %d %s", resp.StatusCode, body)
 	}
 	for _, n := range fleet {
 		if n["state"] != "ready" {
@@ -179,27 +193,15 @@ func TestFleetNodesAndAdvice(t *testing.T) {
 		}
 	}
 
-	// The advisor ticks with the reconcile loop; poll until it has seen
-	// the full fleet.
-	var adv FleetAdvice
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON("/v1/fleet/advice", &adv)
-		if adv.ReadyNodes == 2 {
-			break
+	for _, path := range []string{"/v1/nodes", "/v1/fleet/advice"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("advice never saw 2 ready nodes: %+v", adv)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404 (removed)", path, resp.StatusCode)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	switch adv.Advice {
-	case "hold", "scale_up", "scale_down":
-	default:
-		t.Fatalf("advice verdict %q not in the vocabulary", adv.Advice)
-	}
-	if adv.Reason == "" {
-		t.Fatalf("advice carries no reason: %+v", adv)
 	}
 }
 
@@ -275,7 +277,7 @@ func TestDrainUndrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cand, ok := place(coord.reg.candidates(), key, nil); ok && cand.id == "wA" {
+		if cand, _, _, ok := place(coord.reg.candidates(), key, nil, 0); ok && cand.id == "wA" {
 			ownedByA = b
 		}
 	}

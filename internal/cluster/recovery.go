@@ -34,7 +34,6 @@ func (c *Coordinator) recover() error {
 	// instead of recomputing placement against a fleet that has not even
 	// heartbeated yet.
 	if len(state.Placements) > 0 {
-		c.placements.byKey = make(map[string]store.PlacementRecord, len(state.Placements))
 		for _, rec := range state.Placements {
 			c.placements.byKey[rec.Key] = rec
 		}

@@ -95,7 +95,7 @@ type node struct {
 }
 
 // NodeInfo is a point-in-time snapshot of one node, the JSON shape of
-// GET /v1/nodes.
+// GET /v1/fleet/nodes.
 type NodeInfo struct {
 	ID            string `json:"id"`
 	Endpoint      string `json:"endpoint"`
@@ -326,18 +326,6 @@ func (r *registry) setDraining(id string, draining bool) bool {
 	return true
 }
 
-// shedTotal sums the workers' reported 429 counts — the fleet-wide shed
-// signal the scaling advisor watches.
-func (r *registry) shedTotal() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, n := range r.nodes {
-		total += n.repShed.Load()
-	}
-	return total
-}
-
 // deregister removes a node entirely (graceful worker shutdown). The
 // store delete is best-effort: an already-gone worker must not stay
 // placeable just because the journal hiccuped.
@@ -402,8 +390,8 @@ func (r *registry) sweepHealth(suspectAfter, deadAfter time.Duration) (suspected
 // expireDead garbage-collects nodes that have been silent longer than
 // expiry. Without this, crashed workers with churned IDs (the default ID is
 // the advertised host:port, often an ephemeral port) would accumulate as
-// dead entries forever, growing /v1/nodes, the per-node metric series and
-// every health sweep without bound.
+// dead entries forever, growing /v1/fleet/nodes, the per-node metric series
+// and every health sweep without bound.
 func (r *registry) expireDead(expiry time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -514,7 +502,7 @@ func (r *registry) markSuspect(id string) {
 }
 
 // setNodeEpoch records the epoch a node confirmed during a flush fan-out,
-// so /v1/nodes reflects convergence immediately instead of one heartbeat
+// so /v1/fleet/nodes reflects convergence immediately instead of one heartbeat
 // later.
 func (r *registry) setNodeEpoch(id string, epoch uint64) {
 	r.mu.Lock()
@@ -550,8 +538,8 @@ func (r *registry) countRequest(id string) {
 	}
 }
 
-// snapshot returns every node sorted by ID (the /v1/nodes and /metrics
-// view).
+// snapshot returns every node sorted by ID (the /v1/fleet/nodes and
+// /metrics view).
 func (r *registry) snapshot() []NodeInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()

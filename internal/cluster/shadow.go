@@ -79,7 +79,8 @@ func (s *shadowVerifier) pick(primary candidate, key string) (candidate, bool) {
 		}
 		return candidate{}, false
 	}
-	return place(cands, key, map[string]bool{primary.id: true})
+	next, _, _, ok := place(cands, key, map[string]bool{primary.id: true}, 0)
+	return next, ok
 }
 
 // replay posts the request to the shadow worker and compares its bytes to

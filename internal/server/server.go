@@ -200,8 +200,8 @@ func (s *Server) AlgoVersion() string { return s.algo }
 
 // Load returns the daemon's live load signals: requests currently in
 // flight, the cumulative shed (429) count, and the rolling p99 latency.
-// The agent reports them to the coordinator on every heartbeat, feeding
-// the /v1/fleet/advice scaling verdict.
+// The agent reports them to the coordinator on every heartbeat, which
+// shows them on GET /v1/fleet/nodes.
 func (s *Server) Load() LoadReport {
 	_, p99 := s.metrics.quantiles()
 	return LoadReport{
