@@ -9,7 +9,7 @@
 //	BenchmarkFigure2FourCluster   — Figure 2 bottom (4-cluster, 1-cycle bus)
 //	BenchmarkFigure3              — Figure 3 (4-cluster, 2-cycle bus)
 //	BenchmarkTable2SchedulerTime  — Table 2 (URACAM vs GP scheduling time)
-//	BenchmarkAblation*            — DESIGN.md §6 ablations
+//	BenchmarkAblation*            — partitioner ablations (docs/ARCHITECTURE.md)
 package gpsched
 
 import (
@@ -81,7 +81,8 @@ func BenchmarkTable2SchedulerTime(b *testing.B) {
 	b.ReportMetric(rep.TimeRatio(), "URACAM/GP-time")
 }
 
-// Ablations (DESIGN.md §6) on the headline configuration.
+// Ablations (docs/ARCHITECTURE.md, "Substitutions and ablations") on the
+// headline configuration.
 
 func BenchmarkAblationUniformWeights(b *testing.B) {
 	runPanel(b, bench.Config{

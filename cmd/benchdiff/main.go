@@ -125,7 +125,7 @@ func allocGated(name string) bool {
 		return true
 	}
 	lower := strings.ToLower(name)
-	for _, prefix := range []string{"partition_", "portfolio_", "schedule_batch_"} {
+	for _, prefix := range []string{"partition_", "portfolio_", "schedule_batch_", "schedule_try_"} {
 		if strings.HasPrefix(lower, prefix) {
 			return true
 		}

@@ -103,6 +103,32 @@ func TestBenchdiffAllocRegression(t *testing.T) {
 	}
 }
 
+// TestBenchdiffScheduleTryAllocGated pins the scheduler's candidate-loop
+// gate: one more allocation per TrySchedule fails, fewer passes.
+func TestBenchdiffScheduleTryAllocGated(t *testing.T) {
+	dir := t.TempDir()
+	base := writeSnapshot(t, dir, "base.json", []bench.PerfBenchmark{
+		{Name: "schedule_try_medium", Iterations: 100, NsPerOp: 300000, AllocsPerOp: 150},
+	})
+	grown := writeSnapshot(t, dir, "grown.json", []bench.PerfBenchmark{
+		{Name: "schedule_try_medium", NsPerOp: 300000, AllocsPerOp: 151},
+	})
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-baseline", base, "-current", grown}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "schedule_try_medium: allocs/op increased 150 → 151") {
+		t.Fatalf("TrySchedule alloc growth not gated: %s", stderr.String())
+	}
+	fewer := writeSnapshot(t, dir, "fewer.json", []bench.PerfBenchmark{
+		{Name: "schedule_try_medium", NsPerOp: 290000, AllocsPerOp: 149},
+	})
+	stderr.Reset()
+	if code := run([]string{"-baseline", base, "-current", fewer}, &stdout, &stderr); code != 0 {
+		t.Fatalf("fewer allocs: exit %d, stderr: %s", code, stderr.String())
+	}
+}
+
 func writeServerSnapshot(t *testing.T, dir, name string, snap bench.ServerPerfSnapshot) string {
 	t.Helper()
 	data, err := json.Marshal(snap)

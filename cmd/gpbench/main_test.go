@@ -92,9 +92,9 @@ func TestMachineFlagRunsCustomPanel(t *testing.T) {
 }
 
 // TestBenchJSONSnapshot exercises the -bench-json perf-snapshot mode end to
-// end: the file must parse, carry the three partitioner micro-benchmarks,
-// and report zero steady-state allocations for the evaluator (the
-// allocation-free contract of the incremental refactor).
+// end: the file must parse, carry the partitioner micro-benchmarks and the
+// TrySchedule entry, and report zero steady-state allocations for the
+// evaluator (the allocation-free contract of the incremental refactor).
 func TestBenchJSONSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs testing.Benchmark measurements (several seconds)")
@@ -115,6 +115,7 @@ func TestBenchJSONSnapshot(t *testing.T) {
 	want := map[string]bool{
 		"partition_medium_2cluster": false,
 		"partition_large_4cluster":  false,
+		"schedule_try_medium":       false,
 		"evaluate_steady_state":     false,
 	}
 	for _, b := range snap.Benchmarks {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/partition"
+	"repro/internal/schedule"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -35,9 +36,9 @@ type PerfSnapshot struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// Benchmarks are the micro-benchmarks: full partitioning of a medium
-	// and a large loop, the steady-state evaluate (whose allocs_per_op
-	// must stay 0 — the allocation-free contract), and the coordinator
-	// journal's append path.
+	// and a large loop, one TrySchedule attempt of the medium loop, the
+	// steady-state evaluate (whose allocs_per_op must stay 0 — the
+	// allocation-free contract), and the coordinator journal's append path.
 	Benchmarks []PerfBenchmark `json:"benchmarks"`
 	// LoopsScheduled and SchedulesPerSec measure end-to-end GP scheduling
 	// throughput over the SPECfp95 corpus on the paper's 4-cluster machine.
@@ -59,9 +60,9 @@ func perfLoops() (medium, large *workload.Loop) {
 	return medium, large
 }
 
-// MeasurePerf runs the partitioner micro-benchmarks (via testing.Benchmark)
-// and an end-to-end GP scheduling throughput measurement, and returns the
-// snapshot.
+// MeasurePerf runs the partitioner and scheduler micro-benchmarks (via
+// testing.Benchmark) and an end-to-end GP scheduling throughput
+// measurement, and returns the snapshot.
 func MeasurePerf() (*PerfSnapshot, error) {
 	medium, large := perfLoops()
 	m2 := machine.MustClustered(2, 32, 1, 1)
@@ -123,6 +124,24 @@ func MeasurePerf() (*PerfSnapshot, error) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.ScheduleLoop(medium.G, m2, opts); err != nil {
 				b.Fatalf("portfolio schedule: %v", err)
+			}
+		}
+	})
+	// One modulo-scheduling attempt of the medium loop at the II and
+	// partition GP settles on: the candidate loop plans every probed slot
+	// in per-attempt scratch, so allocs/op counts the attempt's tables and
+	// the schedule it builds, not the slots it probes.
+	record("schedule_try_medium", func(b *testing.B) {
+		res, err := core.ScheduleLoop(medium.G, m2, nil)
+		if err != nil || res.ListFallback {
+			b.Fatalf("medium loop: no modulo schedule (err %v)", err)
+		}
+		opts := &schedule.Options{Mode: schedule.ModeGP, Assign: res.Assign}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, fail := schedule.TrySchedule(medium.G, m2, res.Schedule.II, opts); fail != nil {
+				b.Fatalf("TrySchedule at II %d: %v", res.Schedule.II, fail)
 			}
 		}
 	})

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,13 +125,13 @@ func randomGraph(r *rand.Rand, n, maxEdges int) *Graph {
 
 // TestGreedyHalfApproximation checks the classical guarantee
 // greedy ≥ ½·optimal on random small graphs, comparing against the exact
-// subset-DP matching.
+// matching.
 func TestGreedyHalfApproximation(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		n := r.Intn(10) + 2
 		g := randomGraph(r, n, 25)
-		exact := exactMatching(g)
+		exact := new(matcher).exact(g)
 		greedy := GreedyMatching(g)
 		validMatching(t, g, exact)
 		validMatching(t, g, greedy)
@@ -158,7 +161,7 @@ func TestImprovementNeverHurts(t *testing.T) {
 	}
 }
 
-// TestExactMatchesBruteForce cross-checks the subset DP against a direct
+// TestExactMatchesBruteForce cross-checks the exact matcher against a direct
 // recursive enumeration on tiny graphs.
 func TestExactMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -178,7 +181,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		n := r.Intn(7) + 1
 		g := randomGraph(r, n, 14)
-		exact := exactMatching(g)
+		exact := new(matcher).exact(g)
 		if want := brute(g, 0); exact.Weight != want {
 			t.Fatalf("trial %d: exact %d, brute force %d", trial, exact.Weight, want)
 		}
@@ -233,5 +236,159 @@ func TestMaximality(t *testing.T) {
 				t.Fatalf("trial %d: matching not maximal, edge %d-%d free", trial, e.U, e.V)
 			}
 		}
+	}
+}
+
+// exactMatchingDP is the bottom-up dynamic program over all 2^N vertex
+// subsets that the reachable-subset memo replaced. It is kept as the
+// reference the memo must equal: same recurrence (lowest vertex unmatched,
+// or matched to a neighbour u in increasing order, replaced only by a
+// strictly heavier total), same reconstruction walk.
+func exactMatchingDP(g *Graph) *Matching {
+	n := g.N
+	type pe struct {
+		w   int64
+		idx int
+	}
+	pair := make([][]pe, n)
+	for i := range pair {
+		pair[i] = make([]pe, n)
+		for j := range pair[i] {
+			pair[i][j] = pe{0, -1}
+		}
+	}
+	for i, e := range g.Edges {
+		if e.U == e.V || e.W <= 0 {
+			continue
+		}
+		if e.W > pair[e.U][e.V].w {
+			pair[e.U][e.V] = pe{e.W, i}
+			pair[e.V][e.U] = pe{e.W, i}
+		}
+	}
+	lowestBit := func(s int) int {
+		b := 0
+		for s&1 == 0 {
+			s >>= 1
+			b++
+		}
+		return b
+	}
+	size := 1 << n
+	dp := make([]int64, size)
+	choice := make([]int32, size) // matched partner of lowest bit, or -1
+	for s := 1; s < size; s++ {
+		v := lowestBit(s)
+		rest := s &^ (1 << v)
+		bestW := dp[rest]
+		bestU := int32(-1)
+		for u := v + 1; u < n; u++ {
+			if rest&(1<<u) == 0 {
+				continue
+			}
+			if p := pair[v][u]; p.idx >= 0 {
+				if w := dp[rest&^(1<<u)] + p.w; w > bestW {
+					bestW, bestU = w, int32(u)
+				}
+			}
+		}
+		dp[s] = bestW
+		choice[s] = bestU
+	}
+	m := &Matching{Mate: newMate(n), Weight: dp[size-1]}
+	for s := size - 1; s > 0; {
+		v := lowestBit(s)
+		u := choice[s]
+		if u < 0 {
+			s &^= 1 << v
+			continue
+		}
+		m.Mate[v], m.Mate[u] = int(u), v
+		m.EdgeIdx = append(m.EdgeIdx, pair[v][u].idx)
+		s &^= (1 << v) | (1 << int(u))
+	}
+	return m
+}
+
+// tieGraph returns a random graph on n vertices whose small weight range
+// (−3…12) makes ties, zero and negative weights, parallel edges and self
+// loops common: the cases where a different tie-break or edge choice would
+// show.
+func tieGraph(r *rand.Rand, n int) *Graph {
+	g := &Graph{N: n}
+	if n == 0 {
+		return g
+	}
+	for i, e := 0, r.Intn(3*n+2); i < e; i++ {
+		g.Edges = append(g.Edges, Edge{r.Intn(n), r.Intn(n), int64(r.Intn(16) - 3)})
+	}
+	return g
+}
+
+// TestExactMatchingEqualsDP requires the reachable-subset memo to return
+// exactly the matching of the all-subsets DP — the same Mate, EdgeIdx (order
+// included) and Weight — on seeded random graphs of every exact size, with
+// one matcher reused across all of them as the pool reuses it.
+func TestExactMatchingEqualsDP(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	var mt matcher
+	for trial := 0; trial < 12000; trial++ {
+		g := tieGraph(r, trial%(ExactLimit+1))
+		got, want := mt.exact(g), exactMatchingDP(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: memo %+v, DP %+v on %+v", trial, got, want, g)
+		}
+	}
+}
+
+// FuzzExactMatching decodes a graph from the input — the first byte picks
+// N ≤ ExactLimit, each following triple one edge (u, v, signed weight) —
+// and requires the memo to equal the all-subsets DP.
+func FuzzExactMatching(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 5, 1, 2, 4, 0, 2, 3})
+	f.Add([]byte{14, 0, 13, 1, 1, 1, 9, 2, 3, 0, 4, 5, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := &Graph{N: int(data[0]) % (ExactLimit + 1)}
+		for b := data[1:]; g.N > 0 && len(b) >= 3; b = b[3:] {
+			g.Edges = append(g.Edges, Edge{int(b[0]) % g.N, int(b[1]) % g.N, int64(int8(b[2]))})
+		}
+		got, want := new(matcher).exact(g), exactMatchingDP(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("memo %+v, DP %+v on %+v", got, want, g)
+		}
+	})
+}
+
+// TestMaxWeightMatchingConcurrent runs MaxWeightMatching from 8 goroutines
+// at once, as portfolio racers partitioning in parallel do; under -race it
+// proves the calls share no scratch, and every result must equal the DP.
+func TestMaxWeightMatchingConcurrent(t *testing.T) {
+	graphs := make([]*Graph, 64)
+	r := rand.New(rand.NewSource(7))
+	for i := range graphs {
+		graphs[i] = tieGraph(r, ExactLimit-i%4)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range graphs {
+				g := graphs[(i+w)%len(graphs)]
+				if got, want := MaxWeightMatching(g), exactMatchingDP(g); !reflect.DeepEqual(got, want) {
+					errs <- fmt.Sprintf("goroutine %d: %+v, want %+v", w, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

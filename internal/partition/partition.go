@@ -33,7 +33,8 @@ import (
 )
 
 // WeightScheme selects how coarsening edge weights are computed. The paper
-// scheme is the default; Uniform is an ablation (DESIGN.md A1).
+// scheme is the default; Uniform is ablation A1 (docs/ARCHITECTURE.md,
+// "Substitutions and ablations").
 type WeightScheme int8
 
 const (

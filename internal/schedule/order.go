@@ -13,16 +13,19 @@ import (
 // bottom-up sweeps so that every node (except the first of a group) is
 // ordered while having scheduled neighbors on one side only. Priorities
 // within a sweep use criticality (mobility, then position), computed from
-// the ASAP/ALAP times at II = MII.
-func Order(g *ddg.Graph, m *machine.Config, mii int) []int {
+// the ASAP/ALAP times at ii. TrySchedule passes the II it is attempting,
+// so the order can differ between attempts of one loop; SMS as published
+// computes it once, at the MII.
+func Order(g *ddg.Graph, m *machine.Config, ii int) []int {
 	n := g.N()
 	if n == 0 {
 		return nil
 	}
-	times, ok := g.StartTimes(m, mii, nil)
+	times, ok := g.StartTimes(m, ii, nil)
 	if !ok {
-		// mii below RecMII cannot happen when mii = g.MII(m); fall back to
-		// the smallest feasible II to keep Order total.
+		// An ii below RecMII has no start times (TrySchedule then fails
+		// the attempt with FailWindow); fall back to the smallest
+		// feasible II to keep Order total.
 		times, _ = g.StartTimes(m, g.RecMII(nil), nil)
 	}
 
@@ -193,20 +196,20 @@ func buildGroups(g *ddg.Graph) [][]int {
 			fromPrev, toPrev := false, false
 			for w := 0; w < n; w++ {
 				if grouped[w] {
-					if reach[w][v] {
+					if reach[w*n+v] {
 						fromPrev = true
 					}
-					if reach[v][w] {
+					if reach[v*n+w] {
 						toPrev = true
 					}
 				}
 			}
 			toRec, fromRec := false, false
 			for _, w := range rec.Nodes {
-				if reach[v][w] {
+				if reach[v*n+w] {
 					toRec = true
 				}
-				if reach[w][v] {
+				if reach[w*n+v] {
 					fromRec = true
 				}
 			}
@@ -255,16 +258,19 @@ func buildGroups(g *ddg.Graph) [][]int {
 	return groups
 }
 
-// reachability returns the boolean transitive closure over all edges
-// (O(n·E) BFS per node; loop bodies are small).
-func reachability(g *ddg.Graph) [][]bool {
+// reachability returns the boolean transitive closure over all edges,
+// flattened: v reaches w when reach[v*n+w] (O(n·E) DFS per node; loop
+// bodies are small).
+func reachability(g *ddg.Graph) []bool {
 	n := g.N()
-	reach := make([][]bool, n)
+	reach := make([]bool, n*n)
+	seen := make([]bool, n)
+	var stack []int
 	for v := 0; v < n; v++ {
-		reach[v] = make([]bool, n)
-		stack := []int{v}
-		seen := make([]bool, n)
+		row := reach[v*n : (v+1)*n]
+		clear(seen)
 		seen[v] = true
+		stack = append(stack[:0], v)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -272,7 +278,7 @@ func reachability(g *ddg.Graph) [][]bool {
 				w := g.Edges[ei].To
 				if !seen[w] {
 					seen[w] = true
-					reach[v][w] = true
+					row[w] = true
 					stack = append(stack, w)
 				}
 			}

@@ -1,8 +1,6 @@
 package schedule
 
 import (
-	"sort"
-
 	"repro/internal/ddg"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -82,11 +80,11 @@ type merit []float64
 // betterMerit reports whether a beats b: components sorted in decreasing
 // order are compared pairwise until one pair differs by more than
 // threshold (the smaller component wins); otherwise the smaller sum wins.
-func betterMerit(a, b merit, threshold float64) bool {
-	as := append(merit(nil), a...)
-	bs := append(merit(nil), b...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(as)))
-	sort.Sort(sort.Reverse(sort.Float64Slice(bs)))
+// The sorted copies live in the scratch.
+func (sc *scratch) betterMerit(a, b merit, threshold float64) bool {
+	as := sortDesc(append(sc.meritA[:0], a...))
+	bs := sortDesc(append(sc.meritB[:0], b...))
+	sc.meritA, sc.meritB = as, bs
 	n := len(as)
 	if len(bs) < n {
 		n = len(bs)
@@ -108,77 +106,118 @@ func betterMerit(a, b merit, threshold float64) bool {
 	return sa < sb
 }
 
-// planPlace attempts to construct a placement of node v at (c, t): it
-// checks the functional unit, routes every dependence with already
+// sortDesc sorts f in decreasing order in place (insertion sort: a merit
+// has 2·NClusters+1 components) and returns it.
+func sortDesc(f merit) merit {
+	for i := 1; i < len(f); i++ {
+		for j := i; j > 0 && f[j] > f[j-1]; j-- {
+			f[j], f[j-1] = f[j-1], f[j]
+		}
+	}
+	return f
+}
+
+// reset empties p for a placement of node v at (cluster, t), keeping its
+// buffers' capacity.
+func (p *plan) reset(v, cluster, t int) {
+	p.v, p.cluster, p.t = v, cluster, t
+	p.comms = p.comms[:0]
+	p.moves = p.moves[:0]
+	p.loads = p.loads[:0]
+	p.uses = p.uses[:0]
+	p.merit = p.merit[:0]
+}
+
+// slot returns the modulo slot of cycle cyc.
+func (st *state) slot(cyc int) int {
+	s := cyc % st.ii
+	if s < 0 {
+		s += st.ii
+	}
+	return s
+}
+
+// canXfer reports whether a src→dst transfer departing at start fits the
+// channel's occupancy plus the plan's tentative deltas.
+func (st *state) canXfer(src, dst, start int) bool {
+	m := st.m
+	if m.NBus == 0 || (!m.Pipelined && m.LatBus >= st.ii) {
+		return false
+	}
+	ch := st.rt.Channel(src, dst)
+	for d := 0; d < m.XferOccupancy(); d++ {
+		s := st.slot(start + d)
+		if st.rt.ChannelAt(ch, s)+st.sc.xfer.d[ch*st.ii+s] >= m.NBus {
+			return false
+		}
+	}
+	return true
+}
+
+// shiftXfer adds delta to the tentative occupancy of a src→dst transfer
+// departing at start: +1 takes it, −1 drops it.
+func (st *state) shiftXfer(src, dst, start, delta int) {
+	ch := st.rt.Channel(src, dst)
+	for d := 0; d < st.m.XferOccupancy(); d++ {
+		st.sc.xfer.add(ch*st.ii+st.slot(start+d), delta)
+	}
+}
+
+// canMem reports whether cluster cl has a memory port free at cycle cyc
+// beyond the plan's tentative loads.
+func (st *state) canMem(cl, cyc int) bool {
+	s := st.slot(cyc)
+	return st.rt.MemAt(cl, s)+st.sc.mem.d[cl*st.ii+s] < st.m.UnitsIn(cl, isa.MemUnit)
+}
+
+// takeMem claims a memory port in cluster cl at cycle cyc for the plan.
+func (st *state) takeMem(cl, cyc int) { st.sc.mem.add(cl*st.ii+st.slot(cyc), 1) }
+
+// movedXfer returns the index in sc.movedTo of the planned transfer of
+// value id toward dest, or -1.
+func (sc *scratch) movedXfer(id, dest int) int {
+	for i, x := range sc.movedTo {
+		if x.val == id && x.dest == dest {
+			return i
+		}
+	}
+	return -1
+}
+
+// planPlace attempts to construct a placement of node v at (c, t) into p:
+// it checks the functional unit, routes every dependence with already
 // scheduled endpoints (reusing, moving or creating bus transfers; reusing
 // or extending memory routes), verifies register capacity in every touched
-// cluster, and computes the figure of merit. It never mutates the state.
-func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
+// cluster, and computes the figure of merit. It never mutates the state
+// outside its scratch, and p is complete only when it returns FailNone.
+func (st *state) planPlace(v, c, t int, p *plan) FailReason {
 	g, m, ii := st.g, st.m, st.ii
+	sc := &st.sc
 	node := g.Nodes[v]
 
 	if !st.rt.CanPlaceOp(c, node.Op.Unit(), t) {
-		return nil, FailFU
+		return FailFU
 	}
 
-	p := &plan{v: v, cluster: c, t: t}
+	p.reset(v, c, t)
 	p2p := st.p2p()
-	occ := m.XferOccupancy()
-	// xferDelta tracks tentative transfer occupancy changes by channel and
-	// modulo slot.
-	xferDelta := map[[2]int]int{}
-	slot := func(cyc int) int {
-		s := cyc % ii
-		if s < 0 {
-			s += ii
-		}
-		return s
-	}
-	canXfer := func(src, dst, start int) bool {
-		if m.NBus == 0 || (!m.Pipelined && m.LatBus >= ii) {
-			return false
-		}
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			s := slot(start + d)
-			if st.rt.ChannelAt(ch, s)+xferDelta[[2]int{ch, s}] >= m.NBus {
-				return false
-			}
-		}
-		return true
-	}
-	takeXfer := func(src, dst, start int) {
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			xferDelta[[2]int{ch, slot(start + d)}]++
-		}
-	}
-	dropXfer := func(src, dst, start int) {
-		ch := st.rt.Channel(src, dst)
-		for d := 0; d < occ; d++ {
-			xferDelta[[2]int{ch, slot(start + d)}]--
-		}
-	}
-	// memDelta tracks tentative load placements per cluster and slot. It
-	// starts with v's own reservation when v is a memory operation, so a
-	// planned load cannot claim the same last free port.
-	memDelta := map[[2]int]int{}
-	canMem := func(cl, cyc int) bool {
-		return st.rt.MemAt(cl, slot(cyc))+memDelta[[2]int{cl, slot(cyc)}] < m.UnitsIn(cl, isa.MemUnit)
-	}
+	// The tentative memory loads start with v's own reservation when v is
+	// a memory operation, so a planned load cannot claim the same last
+	// free port.
+	sc.xfer.reset()
+	sc.mem.reset()
+	sc.movedTo = sc.movedTo[:0]
 	if node.Op.Unit() == isa.MemUnit {
-		memDelta[[2]int{c, slot(t)}]++
+		st.takeMem(c, t)
 	}
 
 	def := t + m.OpLatency(node.Op) // when v's value is written
 
-	// movedTo records transfer placements already planned for a (value,
-	// destination) pair (several in-edges may read the same producer). The
-	// destination is -1 for shared-bus broadcasts.
-	movedTo := map[[2]int]int{}
+	// commAt returns the departure of the transfer carrying value id to
+	// dest: the one planned so far, else the value's existing one.
 	commAt := func(val *value, id, dest int) (int, bool) {
-		if n, ok := movedTo[[2]int{id, dest}]; ok {
-			return n, true
+		if i := sc.movedXfer(id, dest); i >= 0 {
+			return sc.movedTo[i].start, true
 		}
 		if val.comm != nil {
 			return val.comm.startFor(dest, p2p)
@@ -196,20 +235,20 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		need := t + ii*e.Dist
 		if e.Kind != ddg.Data {
 			if st.time[u]+e.Lat > need {
-				return nil, FailWindow
+				return FailWindow
 			}
 			continue
 		}
 		val := st.vals[u]
 		uc := st.cluster[u]
 		if st.time[u]+e.Lat > need || val.def > need {
-			return nil, FailWindow
+			return FailWindow
 		}
 		if uc == c {
 			// A spilled value is register-dead between its store and the
 			// reload completion: new home uses must wait for the reload.
 			if val.spill != nil && need > val.spill.store && need < val.spill.load+m.OpLatency(isa.Load) {
-				return nil, FailWindow
+				return FailWindow
 			}
 			p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 			continue
@@ -218,7 +257,7 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		if val.mem != nil {
 			if l, ok := val.mem.loads[c]; ok {
 				if l+m.OpLatency(isa.Load) > need {
-					return nil, FailWindow
+					return FailWindow
 				}
 				p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 				continue
@@ -228,16 +267,16 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 			hi := need - m.OpLatency(isa.Load)
 			found := false
 			for l := hi; l >= lo && l > hi-ii; l-- {
-				if canMem(c, l) {
+				if st.canMem(c, l) {
 					p.loads = append(p.loads, loadPlan{val: u, cluster: c, cycle: l})
-					memDelta[[2]int{c, slot(l)}]++
+					st.takeMem(c, l)
 					p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 					found = true
 					break
 				}
 			}
 			if !found {
-				return nil, FailMem
+				return FailMem
 			}
 			continue
 		}
@@ -257,10 +296,10 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 				if !xferDepartOK(val, s, m) {
 					continue
 				}
-				dropXfer(uc, c, start)
-				if canXfer(uc, c, s) {
-					takeXfer(uc, c, s)
-					if _, already := movedTo[[2]int{u, dest}]; already {
+				st.shiftXfer(uc, c, start, -1)
+				if st.canXfer(uc, c, s) {
+					st.shiftXfer(uc, c, s, +1)
+					if mi := sc.movedXfer(u, dest); mi >= 0 {
 						// The transfer was created or moved earlier in this
 						// plan: update that entry (a plan-created transfer
 						// lives in p.comms, a moved existing one in p.moves).
@@ -278,19 +317,20 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 								}
 							}
 						}
+						sc.movedTo[mi].start = s
 					} else {
 						old, _ := val.comm.startFor(dest, p2p)
 						p.moves = append(p.moves, movePlan{val: u, dest: dest, old: old, new: s})
+						sc.movedTo = append(sc.movedTo, plannedXfer{val: u, dest: dest, start: s})
 					}
-					movedTo[[2]int{u, dest}] = s
 					p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 					moved = true
 					break
 				}
-				takeXfer(uc, c, start)
+				st.shiftXfer(uc, c, start, +1)
 			}
 			if !moved {
-				return nil, FailBus
+				return FailBus
 			}
 			continue
 		}
@@ -300,22 +340,26 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 			if !xferDepartOK(val, s, m) {
 				continue
 			}
-			if canXfer(uc, c, s) {
-				takeXfer(uc, c, s)
+			if st.canXfer(uc, c, s) {
+				st.shiftXfer(uc, c, s, +1)
 				p.comms = append(p.comms, commPlan{val: u, dest: dest, start: s})
-				movedTo[[2]int{u, dest}] = s
+				sc.movedTo = append(sc.movedTo, plannedXfer{val: u, dest: dest, start: s})
 				p.uses = append(p.uses, usePlan{val: u, cluster: c, use: need})
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			return nil, FailBus
+			return FailBus
 		}
 	}
 
 	// Outgoing dependences toward scheduled consumers: v must deliver.
-	crossNeeds := map[int]int{} // dest cluster → earliest deadline
+	crossNeeds := sc.crossNeeds // dest cluster → earliest deadline
+	for wc := range crossNeeds {
+		crossNeeds[wc] = noUse
+	}
+	anyCross := false
 	for _, ei := range g.Out(v) {
 		e := g.Edges[ei]
 		w := e.To
@@ -324,7 +368,7 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		}
 		need := st.time[w] + ii*e.Dist
 		if t+e.Lat > need {
-			return nil, FailWindow
+			return FailWindow
 		}
 		if e.Kind != ddg.Data {
 			continue
@@ -332,91 +376,91 @@ func (st *state) planPlace(v, c, t int) (*plan, FailReason) {
 		wc := st.cluster[w]
 		if wc == c {
 			if def > need {
-				return nil, FailWindow
+				return FailWindow
 			}
 			p.uses = append(p.uses, usePlan{val: v, cluster: c, use: need})
 			continue
 		}
-		if cur, ok := crossNeeds[wc]; !ok || need < cur {
+		if cur := crossNeeds[wc]; cur == noUse || need < cur {
 			crossNeeds[wc] = need
 		}
+		anyCross = true
 		p.uses = append(p.uses, usePlan{val: v, cluster: wc, use: need})
 	}
-	if len(crossNeeds) > 0 {
+	if anyCross {
 		if p2p {
 			// One transfer per destination link, each meeting that
 			// destination's own deadline (deterministic cluster order).
-			for wc := 0; wc < m.Clusters; wc++ {
-				need, ok := crossNeeds[wc]
-				if !ok {
+			for wc, need := range crossNeeds {
+				if need == noUse {
 					continue
 				}
 				placed := false
 				for s := def; s+m.LatBus <= need && s < def+ii; s++ {
-					if canXfer(c, wc, s) {
-						takeXfer(c, wc, s)
+					if st.canXfer(c, wc, s) {
+						st.shiftXfer(c, wc, s, +1)
 						p.comms = append(p.comms, commPlan{val: v, dest: wc, start: s})
 						placed = true
 						break
 					}
 				}
 				if !placed {
-					return nil, FailBus
+					return FailBus
 				}
 			}
 		} else {
 			// One broadcast transfer must meet the tightest deadline.
 			minNeed := 1 << 30
 			for _, n := range crossNeeds {
-				if n < minNeed {
+				if n != noUse && n < minNeed {
 					minNeed = n
 				}
 			}
 			placed := false
 			for s := def; s+m.LatBus <= minNeed && s < def+ii; s++ {
-				if canXfer(c, -1, s) {
-					takeXfer(c, -1, s)
+				if st.canXfer(c, -1, s) {
+					st.shiftXfer(c, -1, s, +1)
 					p.comms = append(p.comms, commPlan{val: v, dest: -1, start: s})
 					placed = true
 					break
 				}
 			}
 			if !placed {
-				return nil, FailBus
+				return FailBus
 			}
 		}
 	}
 
 	// Register capacity: rebuild the spans of every touched value under the
 	// planned routing and check each affected cluster.
-	addUnits := make(map[int]int64)
+	addUnits := sc.addUnits
+	clear(addUnits)
 	if !st.checkRegs(p, def, addUnits) {
-		return nil, FailRegs
+		return FailRegs
 	}
 
 	// Figure of merit: fractions of remaining capacity consumed.
 	xferUsed := 0
-	for _, d := range xferDelta {
-		if d > 0 {
+	for _, i := range sc.xfer.touched {
+		if d := sc.xfer.d[i]; d > 0 {
 			xferUsed += d
 		}
 	}
-	fm := make(merit, 0, 2*m.Clusters+1)
-	fm = append(fm, fraction(int64(xferUsed), int64(st.freeXfer())))
-	memUsed := make([]int64, m.Clusters)
-	for k, d := range memDelta {
-		if d > 0 {
-			memUsed[k[0]] += int64(d)
+	p.merit = append(p.merit, fraction(int64(xferUsed), int64(st.freeXfer())))
+	memUsed := sc.memUsed
+	clear(memUsed)
+	for _, i := range sc.mem.touched {
+		if d := sc.mem.d[i]; d > 0 {
+			memUsed[i/ii] += int64(d)
 		}
 	}
 	for cl := 0; cl < m.Clusters; cl++ {
-		fm = append(fm, fraction(memUsed[cl], int64(st.freeMem(cl))))
+		p.merit = append(p.merit, fraction(memUsed[cl], int64(st.freeMem(cl))))
 	}
 	for cl := 0; cl < m.Clusters; cl++ {
-		fm = append(fm, fraction(addUnits[cl], st.freeLifetime(cl)))
+		p.merit = append(p.merit, fraction(addUnits[cl], st.freeLifetime(cl)))
 	}
-	p.merit = fm
-	return p, FailNone
+	return FailNone
 }
 
 // fraction returns used/free, saturating at 1 when free is exhausted.
@@ -436,121 +480,66 @@ func fraction(used, free int64) float64 {
 
 // checkRegs verifies that applying p keeps every cluster's MaxLive within
 // the register file, and accumulates the net added lifetime units per
-// cluster into addUnits. It never mutates st.
-func (st *state) checkRegs(p *plan, def int, addUnits map[int]int64) bool {
+// cluster into addUnits. It never mutates st outside its scratch.
+func (st *state) checkRegs(p *plan, def int, addUnits []int64) bool {
 	m := st.m
-	// Hypothetical value views for every touched producer.
-	type view struct {
-		val    *value
-		tmp    value
-		before map[int][]regpress.Span
-	}
-	views := map[int]*view{}
-	getView := func(id int) *view {
-		if vw, ok := views[id]; ok {
-			return vw
+	sc := &st.sc
+	// Hypothetical value views for every touched producer, v's own new
+	// value first.
+	sc.viewed.clear()
+	view := func(id int) *regView {
+		vw := &sc.views[id]
+		if sc.viewed.add(id) {
+			vw.copyOf(st.vals[id])
 		}
-		val := st.vals[id]
-		vw := &view{val: val, before: map[int][]regpress.Span{}}
-		vw.tmp = *val
-		vw.tmp.minUse = append([]int(nil), val.minUse...)
-		vw.tmp.maxUse = append([]int(nil), val.maxUse...)
-		if val.comm != nil {
-			cc := *val.comm
-			if val.comm.dests != nil {
-				cc.dests = make(map[int]int, len(val.comm.dests))
-				for k, x := range val.comm.dests {
-					cc.dests[k] = x
-				}
-			}
-			vw.tmp.comm = &cc
-		}
-		if val.mem != nil {
-			mm := *val.mem
-			mm.loads = map[int]int{}
-			for k, x := range val.mem.loads {
-				mm.loads[k] = x
-			}
-			vw.tmp.mem = &mm
-		}
-		for c := 0; c < m.Clusters; c++ {
-			vw.before[c] = val.spans(c, m)
-		}
-		views[id] = vw
 		return vw
 	}
-
-	// v's own (new) value.
 	if st.g.Nodes[p.v].Op.ProducesValue() {
-		nv := newValue(p.cluster, def, m.Clusters)
-		views[p.v] = &view{val: nil, tmp: *nv, before: map[int][]regpress.Span{}}
-	}
-
-	// setXfer records a planned transfer start on a hypothetical value view:
-	// the broadcast start for the shared bus, one dests entry per link on
-	// point-to-point machines.
-	setXfer := func(tmp *value, dest, start int) {
-		if dest < 0 {
-			if tmp.comm == nil {
-				tmp.comm = &comm{}
-			}
-			tmp.comm.start = start
-			return
-		}
-		if tmp.comm == nil {
-			tmp.comm = &comm{dests: map[int]int{}}
-		} else if tmp.comm.dests == nil {
-			tmp.comm.dests = map[int]int{}
-		}
-		tmp.comm.dests[dest] = start
+		sc.viewed.add(p.v)
+		sc.views[p.v].fresh(p.cluster, def)
 	}
 	for _, mv := range p.moves {
-		setXfer(&getView(mv.val).tmp, mv.dest, mv.new)
+		view(mv.val).setXfer(mv.dest, mv.new)
 	}
 	for _, cp := range p.comms {
-		if cp.val == p.v {
-			setXfer(&views[p.v].tmp, cp.dest, cp.start)
-		} else {
-			setXfer(&getView(cp.val).tmp, cp.dest, cp.start)
-		}
+		view(cp.val).setXfer(cp.dest, cp.start)
 	}
 	for _, lp := range p.loads {
-		vw := getView(lp.val)
-		vw.tmp.mem.loads[lp.cluster] = lp.cycle
+		view(lp.val).tmp.mem.loads[lp.cluster] = lp.cycle
 	}
 	for _, up := range p.uses {
-		var vw *view
-		if up.val == p.v {
-			vw = views[p.v]
-		} else {
-			vw = getView(up.val)
+		tmp := &view(up.val).tmp
+		if cur := tmp.minUse[up.cluster]; cur == noUse || up.use < cur {
+			tmp.minUse[up.cluster] = up.use
 		}
-		if cur := vw.tmp.minUse[up.cluster]; cur == noUse || up.use < cur {
-			vw.tmp.minUse[up.cluster] = up.use
-		}
-		if cur := vw.tmp.maxUse[up.cluster]; cur == noUse || up.use > cur {
-			vw.tmp.maxUse[up.cluster] = up.use
+		if cur := tmp.maxUse[up.cluster]; cur == noUse || up.use > cur {
+			tmp.maxUse[up.cluster] = up.use
 		}
 	}
 
-	// Per-cluster simulation on a reusable scratch buffer. The after-spans
-	// are computed once per (view, cluster).
+	// Per-cluster simulation on a reusable scratch buffer: every view's
+	// current spans are removed and its planned spans added.
 	if cap(st.simBuf) < st.ii {
 		st.simBuf = make([]int, st.ii)
 	}
+	var buf [2]regpress.Span
 	for c := 0; c < m.Clusters; c++ {
 		var before, after int64
-		var rem, add []regpress.Span
-		for _, vw := range views {
-			for _, sp := range vw.before[c] {
-				rem = append(rem, sp)
-				before += int64(sp.Len())
+		rem, add := sc.rem[:0], sc.add[:0]
+		for _, id := range sc.viewed.list {
+			vw := &sc.views[id]
+			if vw.val != nil {
+				for _, sp := range vw.val.spans(c, m, &buf) {
+					rem = append(rem, sp)
+					before += int64(sp.Len())
+				}
 			}
-			for _, sp := range vw.tmp.spans(c, m) {
+			for _, sp := range vw.tmp.spans(c, m, &buf) {
 				add = append(add, sp)
 				after += int64(sp.Len())
 			}
 		}
+		sc.rem, sc.add = rem, add
 		if len(rem) == 0 && len(add) == 0 {
 			continue
 		}

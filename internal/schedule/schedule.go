@@ -201,23 +201,20 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 // placement by figure of merit. It reports the dominant failure reason when
 // no cluster admits the node.
 func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailReason) {
-	var clusters []int
+	clusters := st.sc.clusters[:0]
 	switch opts.Mode {
-	case ModeFixed:
-		clusters = []int{opts.Assign[v]}
-	case ModeGP:
-		// Assigned cluster first; the others only when it fails.
-		clusters = []int{opts.Assign[v]}
+	case ModeFixed, ModeGP:
+		// GP: the assigned cluster first; the others only when it fails.
+		clusters = append(clusters, opts.Assign[v])
 	case ModeURACAM:
-		clusters = make([]int, st.m.Clusters)
-		for c := range clusters {
-			clusters[c] = c
+		for c := 0; c < st.m.Clusters; c++ {
+			clusters = append(clusters, c)
 		}
 	}
 
 	best, fail := st.bestCandidate(v, clusters, opts.threshold(), static)
 	if best == nil && opts.Mode == ModeGP {
-		others := make([]int, 0, st.m.Clusters-1)
+		others := clusters[:0]
 		for c := 0; c < st.m.Clusters; c++ {
 			if c != opts.Assign[v] {
 				others = append(others, c)
@@ -238,20 +235,26 @@ func (st *state) placeNode(v int, opts *Options, static *ddg.Times) (bool, FailR
 
 // bestCandidate scans each cluster's placement window for its first
 // feasible slot and returns the merit-best plan among clusters, or the
-// dominant failure reason.
+// dominant failure reason. The plan lives in the scratch and is valid
+// until the next call.
 func (st *state) bestCandidate(v int, clusters []int, threshold float64, static *ddg.Times) (*plan, FailReason) {
+	sc := &st.sc
 	var best *plan
+	next := &sc.plans[0] // the buffer the next cluster's scan fills
 	worstFail := FailNone
 	for _, c := range clusters {
-		p, reason := st.scanCluster(v, c, static)
-		if p == nil {
+		if reason := st.scanCluster(v, c, static, next); reason != FailNone {
 			if reason > worstFail {
 				worstFail = reason
 			}
 			continue
 		}
-		if best == nil || betterMerit(p.merit, best.merit, threshold) {
-			best = p
+		if best == nil || sc.betterMerit(next.merit, best.merit, threshold) {
+			if best == nil {
+				best, next = next, &sc.plans[1]
+			} else {
+				best, next = next, best
+			}
 		}
 	}
 	if best == nil && worstFail == FailNone {
@@ -261,8 +264,8 @@ func (st *state) bestCandidate(v int, clusters []int, threshold float64, static 
 }
 
 // scanCluster computes the SMS placement window of v in cluster c and
-// returns the plan for the first feasible slot.
-func (st *state) scanCluster(v, c int, static *ddg.Times) (*plan, FailReason) {
+// plans the first feasible slot into p, or returns why none is.
+func (st *state) scanCluster(v, c int, static *ddg.Times, p *plan) FailReason {
 	g, m, ii := st.g, st.m, st.ii
 	lb, hasPred := -1<<30, false
 	ub, hasSucc := 1<<30, false
@@ -295,56 +298,38 @@ func (st *state) scanCluster(v, c int, static *ddg.Times) (*plan, FailReason) {
 		}
 	}
 
+	// The window runs from first toward last in steps of dir. Start cycles
+	// may be negative (bottom-up placement below cycle 0): modulo
+	// schedules are shift-invariant and finish() normalizes.
+	var first, last, dir int
+	switch {
+	case hasPred && hasSucc:
+		first, last, dir = lb, ub, 1
+		if lb+ii-1 < last {
+			last = lb + ii - 1
+		}
+	case hasPred:
+		first, last, dir = lb, lb+ii-1, 1
+	case hasSucc:
+		first, last, dir = ub, ub-ii+1, -1
+	default:
+		first = static.Earliest[v]
+		last, dir = first+ii-1, 1
+	}
 	worst := FailNone
-	try := func(t int) (*plan, bool) {
-		p, reason := st.planPlace(v, c, t)
-		if p != nil {
-			return p, true
+	for t := first; (t-last)*dir <= 0; t += dir {
+		reason := st.planPlace(v, c, t, p)
+		if reason == FailNone {
+			return FailNone
 		}
 		if reason > worst {
 			worst = reason
-		}
-		return nil, false
-	}
-
-	// Start cycles may be negative (bottom-up placement below cycle 0):
-	// modulo schedules are shift-invariant and finish() normalizes.
-	switch {
-	case hasPred && hasSucc:
-		hi := ub
-		if lb+ii-1 < hi {
-			hi = lb + ii - 1
-		}
-		for t := lb; t <= hi; t++ {
-			if p, ok := try(t); ok {
-				return p, FailNone
-			}
-		}
-	case hasPred:
-		for t := lb; t < lb+ii; t++ {
-			if p, ok := try(t); ok {
-				return p, FailNone
-			}
-		}
-	case hasSucc:
-		lo := ub - ii + 1
-		for t := ub; t >= lo; t-- {
-			if p, ok := try(t); ok {
-				return p, FailNone
-			}
-		}
-	default:
-		start := static.Earliest[v]
-		for t := start; t < start+ii; t++ {
-			if p, ok := try(t); ok {
-				return p, FailNone
-			}
 		}
 	}
 	if worst == FailNone {
 		worst = FailWindow
 	}
-	return nil, worst
+	return worst
 }
 
 // apply commits a plan to the state.
@@ -358,26 +343,30 @@ func (st *state) apply(p *plan) {
 	st.cluster[p.v] = p.cluster
 	st.sched[p.v] = true
 	if node.Op.ProducesValue() {
-		st.vals[p.v] = newValue(p.cluster, p.t+m.OpLatency(node.Op), m.Clusters)
+		st.vals[p.v] = st.newValueOf(p.v, p.cluster, p.t+m.OpLatency(node.Op))
 	}
 
 	// 2. Batch span-safe mutations per touched value.
-	touched := map[int]bool{p.v: node.Op.ProducesValue()}
+	touched := &st.sc.touched
+	touched.clear()
+	if node.Op.ProducesValue() {
+		touched.add(p.v)
+	}
 	for _, mv := range p.moves {
-		touched[mv.val] = true
+		touched.add(mv.val)
 	}
 	for _, cp := range p.comms {
-		touched[cp.val] = true
+		touched.add(cp.val)
 	}
 	for _, lp := range p.loads {
-		touched[lp.val] = true
+		touched.add(lp.val)
 	}
 	for _, up := range p.uses {
-		touched[up.val] = true
+		touched.add(up.val)
 	}
 	// Remove current spans of every touched value (v has none yet).
-	for id, isVal := range touched {
-		if !isVal || id == p.v {
+	for _, id := range touched.list {
+		if id == p.v {
 			continue
 		}
 		for c := 0; c < m.Clusters; c++ {
@@ -423,10 +412,7 @@ func (st *state) apply(p *plan) {
 		}
 	}
 	// Re-add spans.
-	for id, isVal := range touched {
-		if !isVal {
-			continue
-		}
+	for _, id := range touched.list {
 		for c := 0; c < m.Clusters; c++ {
 			st.addValueSpans(st.vals[id], c)
 		}

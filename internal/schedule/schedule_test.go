@@ -402,8 +402,10 @@ func TestStagesAndCycles(t *testing.T) {
 }
 
 func TestMeritComparison(t *testing.T) {
+	var sc scratch
+	betterMerit := sc.betterMerit
 	// Clear difference beyond threshold: lower max component wins.
-	a := merit{0.9, 0.1}
+	a := merit{0.1, 0.9}
 	b := merit{0.5, 0.5}
 	if !betterMerit(b, a, 0.05) {
 		t.Error("b (max 0.5) should beat a (max 0.9)")
@@ -420,6 +422,10 @@ func TestMeritComparison(t *testing.T) {
 	// Equal: not better either way.
 	if betterMerit(a, a, 0.05) {
 		t.Error("a vs a: strict better must be false")
+	}
+	// The comparison sorts copies in the scratch, never its arguments.
+	if a[0] != 0.1 || a[1] != 0.9 {
+		t.Errorf("betterMerit reordered its argument: %v", a)
 	}
 }
 

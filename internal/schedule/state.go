@@ -83,6 +83,17 @@ func newValue(home, def, clusters int) *value {
 	return v
 }
 
+// newValueOf returns node v's value, produced in cluster home and written
+// at def, with no uses yet. It lives in st.valBuf, reset in place.
+func (st *state) newValueOf(v, home, def int) *value {
+	val := &st.valBuf[v]
+	*val = value{home: home, def: def, minUse: val.minUse, maxUse: val.maxUse}
+	for c := range val.minUse {
+		val.minUse[c], val.maxUse[c] = noUse, noUse
+	}
+	return val
+}
+
 // arrival returns the cycle the value becomes readable in cluster c, or
 // (0, false) when it is not routed there.
 func (v *value) arrival(c int, m *machine.Config) (int, bool) {
@@ -110,8 +121,9 @@ func (v *value) arrival(c int, m *machine.Config) (int, bool) {
 }
 
 // spans returns the register intervals the value occupies in cluster c
-// under its current routing and uses.
-func (v *value) spans(c int, m *machine.Config) []regpress.Span {
+// under its current routing and uses. The result is written into buf and
+// valid until buf's next use.
+func (v *value) spans(c int, m *machine.Config, buf *[2]regpress.Span) []regpress.Span {
 	if c == v.home {
 		end := v.def + 1 // the write itself occupies the register
 		if u := v.maxUse[c]; u != noUse && u+1 > end {
@@ -135,15 +147,16 @@ func (v *value) spans(c int, m *machine.Config) []regpress.Span {
 			end = v.mem.store + 1
 		}
 		if v.spill == nil {
-			return []regpress.Span{{Start: v.def, End: end}}
+			buf[0] = regpress.Span{Start: v.def, End: end}
+			return buf[:1]
 		}
 		// Spilled: live [def, store+1) and [load+lat, end).
-		s1 := regpress.Span{Start: v.def, End: v.spill.store + 1}
-		s2 := regpress.Span{Start: v.spill.load + m.OpLatency(isa.Load), End: end}
-		if s2.End <= s2.Start {
-			return []regpress.Span{s1}
+		buf[0] = regpress.Span{Start: v.def, End: v.spill.store + 1}
+		buf[1] = regpress.Span{Start: v.spill.load + m.OpLatency(isa.Load), End: end}
+		if buf[1].End <= buf[1].Start {
+			return buf[:1]
 		}
-		return []regpress.Span{s1, s2}
+		return buf[:2]
 	}
 	// Remote cluster: live from arrival to last use there.
 	arr, ok := v.arrival(c, m)
@@ -154,7 +167,8 @@ func (v *value) spans(c int, m *machine.Config) []regpress.Span {
 	if end == noUse {
 		return nil
 	}
-	return []regpress.Span{{Start: arr, End: end + 1}}
+	buf[0] = regpress.Span{Start: arr, End: end + 1}
+	return buf[:1]
 }
 
 // state is the mutable scheduling state for one II attempt.
@@ -169,9 +183,11 @@ type state struct {
 	rt      *mrt.Table
 	press   []*regpress.Pressure // per cluster
 	vals    []*value             // per node; nil until the producer schedules
+	valBuf  []value              // per node: the storage vals points into
 
 	nMemOps [2]int // [stores, loads] added by transformations (statistics)
 	simBuf  []int  // scratch for plan-time register simulation
+	sc      scratch
 }
 
 func newState(g *ddg.Graph, m *machine.Config, ii int) *state {
@@ -183,9 +199,17 @@ func newState(g *ddg.Graph, m *machine.Config, ii int) *state {
 		rt:      mrt.New(m, ii),
 		press:   make([]*regpress.Pressure, m.Clusters),
 		vals:    make([]*value, g.N()),
+		sc:      newScratch(g.N(), m.Clusters, m.Channels(), ii),
 	}
 	for i := range st.time {
 		st.time[i], st.cluster[i] = -1, -1
+	}
+	st.valBuf = make([]value, g.N())
+	uses := make([]int, 2*g.N()*m.Clusters)
+	for i := range st.valBuf {
+		val := &st.valBuf[i]
+		val.minUse, uses = uses[:m.Clusters:m.Clusters], uses[m.Clusters:]
+		val.maxUse, uses = uses[:m.Clusters:m.Clusters], uses[m.Clusters:]
 	}
 	for c := range st.press {
 		st.press[c] = regpress.New(ii)
@@ -196,14 +220,16 @@ func newState(g *ddg.Graph, m *machine.Config, ii int) *state {
 // addSpans registers the spans of value v in cluster c with the pressure
 // tracker.
 func (st *state) addValueSpans(v *value, c int) {
-	for _, sp := range v.spans(c, st.m) {
+	var buf [2]regpress.Span
+	for _, sp := range v.spans(c, st.m, &buf) {
 		st.press[c].Add(sp.Start, sp.End)
 	}
 }
 
 // removeValueSpans removes the current spans of value v in cluster c.
 func (st *state) removeValueSpans(v *value, c int) {
-	for _, sp := range v.spans(c, st.m) {
+	var buf [2]regpress.Span
+	for _, sp := range v.spans(c, st.m, &buf) {
 		st.press[c].Remove(sp.Start, sp.End)
 	}
 }

@@ -17,20 +17,14 @@ import (
 //   - memory pressure → reroute a memory-routed value back over the bus, or
 //     remove spill code.
 func (st *state) transform(reason FailReason) bool {
-	type target struct {
-		apply func() bool
-		sat   float64
-	}
-	var targets []target
-
+	targets := st.sc.targets[:0]
 	// Register saturation per cluster.
 	for c := 0; c < st.m.Clusters; c++ {
-		c := c
 		sat := float64(st.maxLive(c)) / float64(st.m.RegsIn(c))
 		if reason == FailRegs {
 			sat += 1 // prioritize the failing resource class
 		}
-		targets = append(targets, target{sat: sat, apply: func() bool { return st.trySpill(c) }})
+		targets = append(targets, target{kind: spillTarget, c: c, sat: sat})
 	}
 	// Interconnect saturation.
 	{
@@ -38,27 +32,60 @@ func (st *state) transform(reason FailReason) bool {
 		if reason == FailBus {
 			sat += 1
 		}
-		targets = append(targets, target{sat: sat, apply: st.tryBusToMem})
+		targets = append(targets, target{kind: busToMemTarget, sat: sat})
 	}
 	// Memory saturation per cluster.
 	for c := 0; c < st.m.Clusters; c++ {
-		c := c
 		sat := st.rt.MemUtilization(c)
 		if reason == FailMem {
 			sat += 1
 		}
-		targets = append(targets, target{sat: sat, apply: func() bool {
-			return st.tryMemToBus(c) || st.tryUnspill(c)
-		}})
+		targets = append(targets, target{kind: memTarget, c: c, sat: sat})
 	}
+	st.sc.targets = targets
 
-	sort.SliceStable(targets, func(i, j int) bool { return targets[i].sat > targets[j].sat })
+	// Most saturated first; a stable insertion sort keeps equal
+	// saturations in the order above.
+	for i := 1; i < len(targets); i++ {
+		for j := i; j > 0 && targets[j].sat > targets[j-1].sat; j-- {
+			targets[j], targets[j-1] = targets[j-1], targets[j]
+		}
+	}
 	for _, tg := range targets {
-		if tg.apply() {
+		if st.tryTarget(tg) {
 			return true
 		}
 	}
 	return false
+}
+
+// targetKind names a §3.3.2 transformation transform may try.
+type targetKind int8
+
+const (
+	spillTarget    targetKind = iota // trySpill(c)
+	busToMemTarget                   // tryBusToMem()
+	memTarget                        // tryMemToBus(c), then tryUnspill(c)
+)
+
+// target is one transformation candidate with the saturation of the
+// resource it relieves.
+type target struct {
+	kind targetKind
+	c    int
+	sat  float64
+}
+
+// tryTarget applies the transformation tg names.
+func (st *state) tryTarget(tg target) bool {
+	switch tg.kind {
+	case spillTarget:
+		return st.trySpill(tg.c)
+	case busToMemTarget:
+		return st.tryBusToMem()
+	default:
+		return st.tryMemToBus(tg.c) || st.tryUnspill(tg.c)
+	}
 }
 
 // trySpill inserts spill code for the value in cluster c whose

@@ -167,13 +167,14 @@ func Verify(g *ddg.Graph, m *machine.Config, s *Schedule) error {
 	}
 
 	// Register pressure, reconstructed from scratch.
+	var buf [2]regpress.Span
 	for c := 0; c < m.Clusters; c++ {
 		p := regpress.New(s.II)
 		for _, val := range vals {
 			if val == nil {
 				continue
 			}
-			for _, sp := range val.spans(c, m) {
+			for _, sp := range val.spans(c, m, &buf) {
 				p.Add(sp.Start, sp.End)
 			}
 		}

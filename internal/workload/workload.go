@@ -12,7 +12,8 @@
 // recurrences; hydro2d and applu are recurrence-bound; fpppp has huge
 // straight-line FP bodies). The schedulers consume only the DDG and trip
 // count, so a corpus spanning the same structural axes exercises the same
-// code paths; see DESIGN.md §4 for the substitution argument.
+// code paths; see docs/ARCHITECTURE.md, "Substitutions and ablations", for
+// the substitution argument.
 package workload
 
 import (
