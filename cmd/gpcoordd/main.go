@@ -71,6 +71,17 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Connection limits of the API listener. A client gets readHeaderTimeout
+// to send its request line and headers, so a stalled or half-open
+// connection cannot hold a goroutine and a descriptor forever. An idle
+// keep-alive connection is closed after idleTimeout, which is longer than
+// the 90 s after which Go clients drop theirs, so the client side closes
+// first and never reuses a connection the server is closing.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gpcoordd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -186,7 +197,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		coord.Close()
 		return 1
 	}
-	hs := &http.Server{Handler: coord.Handler()}
+	hs := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	fmt.Fprintf(stdout, "gpcoordd listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)

@@ -69,6 +69,17 @@ func capacity(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Connection limits of the API listener. A client gets readHeaderTimeout
+// to send its request line and headers, so a stalled or half-open
+// connection cannot hold a goroutine and a descriptor forever. An idle
+// keep-alive connection is closed after idleTimeout, which is longer than
+// the 90 s after which Go clients drop theirs, so the client side closes
+// first and never reuses a connection the server is closing.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gpserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -158,7 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.NodeID = id
 	}
 	srv := server.New(cfg)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	fmt.Fprintf(stdout, "gpserved listening on %s\n", ln.Addr())
 
 	var agent *server.Agent

@@ -327,3 +327,28 @@ func TestBadFlags(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+// TestPartialRequestLineClosed pins the header timeout: a client that
+// sends part of a request line and stalls is disconnected after
+// readHeaderTimeout instead of holding the connection open.
+func TestPartialRequestLineClosed(t *testing.T) {
+	t.Parallel()
+	base, stop := startDaemon(t)
+	defer stop()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	conn.SetReadDeadline(t0.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %v after a partial request line: %v", time.Since(t0), err)
+	}
+	if took := time.Since(t0); took < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", took, readHeaderTimeout)
+	}
+}

@@ -17,6 +17,14 @@
 //  4. Loops whose II escalates past a limit fall back to acyclic list
 //     scheduling, as the paper does for the few loops where modulo
 //     scheduling becomes inappropriate (§4.1).
+//
+// Most of a loop's cost is failed attempts, and the walk is sequential
+// only in appearance: the partition used at each II depends on the
+// earlier partitions' IIbus alone, never on whether an attempt succeeded.
+// So idle cores attempt later IIs of the same loop while the current one
+// runs, the lowest successful II wins, and the work above it is canceled.
+// The Result is the sequential walk's, field for field, except for the
+// timings and Discarded (escalate.go explains why the overlap is exact).
 package core
 
 import (
@@ -78,9 +86,10 @@ type Options struct {
 	Portfolio int
 	// Arena, when non-nil, supplies the partitioner's scratch arena so a
 	// serving path can pool the cold-path allocations across requests. Only
-	// the sequential (Portfolio ≤ 1) path uses it; portfolio search
-	// acquires one pooled arena per seed. The arena must not be shared with
-	// a concurrent ScheduleLoop call.
+	// the Portfolio ≤ 1 escalation uses it, for its one chain of
+	// partitions; portfolio search acquires one pooled arena per seed. The
+	// arena must not be shared with a concurrent ScheduleLoop call; it is
+	// free again once ScheduleLoop returns.
 	Arena *partition.Arena
 }
 
@@ -105,21 +114,30 @@ func (o *Options) portfolio() int {
 	return 1
 }
 
-// Result is the outcome of scheduling one loop.
+// Result is the outcome of scheduling one loop. Every field except the
+// durations and Discarded is what the sequential §3.1 walk produces,
+// however many cores the escalation used.
 type Result struct {
 	// Schedule is the final schedule (modulo or list).
 	Schedule *schedule.Schedule
-	// Assign is the cluster assignment actually used (nil for URACAM with
-	// list fallback).
+	// Assign is the cluster assignment actually used (nil for URACAM).
 	Assign []int
 	// MII is the lower bound the search started from.
 	MII int
 	// IIBus is the bus bound of the final partition (0 for URACAM).
 	IIBus int
-	// Partitions counts partition computations (≥ 1 for GP/Fixed).
+	// Partitions counts the partition computations the walk made up to
+	// its end (≥ 1 for GP/Fixed; with list fallback, including the
+	// repartition after the last failure, whose partition the fallback
+	// uses).
 	Partitions int
-	// Attempts counts scheduling attempts (II values tried).
+	// Attempts counts the II values the walk tried: the winning II minus
+	// the MII plus one, or the whole window with list fallback.
 	Attempts int
+	// Discarded counts the attempts helper cores started above the winning
+	// II, whose work was thrown away: with Attempts, the useful share of
+	// the scheduling work. Zero on one core and with list fallback.
+	Discarded int
 	// ListFallback reports that modulo scheduling was abandoned.
 	ListFallback bool
 	// PortfolioSeed is the seed index of the winning portfolio racer (0
@@ -128,13 +146,16 @@ type Result struct {
 	// Elapsed is the wall-clock scheduling time, the paper's Table 2 metric.
 	Elapsed time.Duration
 
-	// Phase wall times within Elapsed: MII computation, partitioning
-	// (cumulative over recomputations; for portfolio search, the wall time
-	// of the parallel partition phases, not the sum over racers), and
-	// scheduling attempts. Feeds the serving daemons' trace phases.
+	// Phase busy times: MII computation; partitioning, summed over the
+	// partitions the walk counts in Partitions; and scheduling, summed
+	// over the attempts it counts in Attempts. Work that overlapped on
+	// several cores is summed, so PartitionDur+ScheduleDur may exceed
+	// Elapsed, and discarded work is left out. For portfolio search they
+	// are the wall times of its parallel phases. They feed the serving
+	// daemons' trace phases and the benchmark's per-layer ledger.
 	MIIDur, PartitionDur, ScheduleDur time.Duration
-	// RefineMoves totals refinement transformations across every partition
-	// computed for this loop (all portfolio racers included).
+	// RefineMoves totals refinement transformations across the partitions
+	// counted in Partitions (all portfolio racers included).
 	RefineMoves int64
 	// Candidate-screening tallies summed over the same partitions; see
 	// partition.Result.
@@ -166,10 +187,12 @@ func ScheduleLoop(g *ddg.Graph, m *machine.Config, opts *Options) (*Result, erro
 	return ScheduleLoopContext(context.Background(), g, m, opts)
 }
 
-// ScheduleLoopContext is ScheduleLoop with cancellation: the II escalation
-// loop checks ctx between scheduling attempts, so a canceled context stops
-// the search promptly and returns ctx's error. The experiment harness uses
-// this to abandon in-flight work when a sibling loop fails.
+// ScheduleLoopContext is ScheduleLoop with cancellation. Every partition
+// and scheduling attempt polls ctx without blocking (between refinement
+// moves, coarsening levels and work-list steps), so a canceled or expired
+// context stops the search within one such step and returns an error
+// wrapping ctx's. It returns only after every helper goroutine of the
+// escalation has exited.
 func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -187,63 +210,14 @@ func ScheduleLoopContext(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 	if opts.portfolio() > 1 && opts.Algorithm != URACAM {
 		return schedulePortfolio(ctx, g, m, opts, start, res)
 	}
-
-	var assign []int
-	var part *partition.Result
-	partitioner := partition.NewWithArena(g, m, opts.Partition, opts.Arena)
-	mode := schedule.ModeURACAM
 	switch opts.Algorithm {
-	case GP, FixedPartition:
-		pt0 := time.Now()
-		part = partitioner.Partition(res.MII)
-		res.PartitionDur += time.Since(pt0)
-		res.addPartStats(part)
-		res.Partitions++
-		assign = part.Assign
-		res.IIBus = part.IIBus
-		mode = schedule.ModeGP
-		if opts.Algorithm == FixedPartition {
-			mode = schedule.ModeFixed
-		}
-	case URACAM:
-		// no partition phase
+	case GP, FixedPartition, URACAM:
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
 	}
-
-	limit := res.MII + opts.window()
-	for ii := res.MII; ii <= limit; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s at II=%d: %w", g.Name, ii, err)
-		}
-		res.Attempts++
-		sopts := &schedule.Options{Mode: mode, Assign: assign, MeritThreshold: opts.MeritThreshold}
-		st0 := time.Now()
-		s, fail := schedule.TrySchedule(g, m, ii, sopts)
-		res.ScheduleDur += time.Since(st0)
-		if fail == nil {
-			res.Schedule = s
-			res.Assign = assign
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		// II will be raised; the GP scheme recomputes the partition when
-		// the bus bound exceeds the raised II (§3.1).
-		if opts.Algorithm == GP && part != nil && part.IIBus > ii+1 {
-			pt0 := time.Now()
-			part = partitioner.Partition(ii + 1)
-			res.PartitionDur += time.Since(pt0)
-			res.addPartStats(part)
-			res.Partitions++
-			assign = part.Assign
-			res.IIBus = part.IIBus
-		}
+	if err := escalate(ctx, g, m, opts, res); err != nil {
+		return nil, err
 	}
-
-	// Modulo scheduling inappropriate for this loop: list-schedule it.
-	res.ListFallback = true
-	res.Schedule = schedule.ListSchedule(g, m, assign)
-	res.Assign = assign
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

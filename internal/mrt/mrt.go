@@ -51,6 +51,32 @@ func New(m *machine.Config, ii int) *Table {
 	return t
 }
 
+// Reset empties the table for initiation interval ii ≥ 1 on the same
+// machine, keeping its rows' capacity.
+func (t *Table) Reset(ii int) {
+	if ii < 1 {
+		panic(fmt.Sprintf("mrt: II %d < 1", ii))
+	}
+	t.II = ii
+	for c := range t.fu {
+		t.fu[c] = zeroed(t.fu[c], isa.NumUnitKinds*ii)
+	}
+	for ch := range t.xfer {
+		t.xfer[ch] = zeroed(t.xfer[ch], ii)
+	}
+}
+
+// zeroed returns s resliced to n zero entries, reallocating only when its
+// capacity is insufficient.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 func (t *Table) slot(cycle int) int {
 	s := cycle % t.II
 	if s < 0 {

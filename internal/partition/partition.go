@@ -26,6 +26,8 @@
 package partition
 
 import (
+	"context"
+
 	"repro/internal/ddg"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -136,6 +138,10 @@ type Partitioner struct {
 	// Per-run screening tallies, reset by Partition and copied into its
 	// Result. Mutated only by the (single-goroutine) refinement loop.
 	screenLB, screenExact, screenFull int64
+
+	// done is the current PartitionContext call's cancellation channel
+	// (nil when it cannot be canceled), polled by canceled.
+	done <-chan struct{}
 }
 
 // New returns a partitioner for graph g on machine m with a private arena.
@@ -169,13 +175,23 @@ func NewWithArena(g *ddg.Graph, m *machine.Config, opts *Options, ar *Arena) *Pa
 // Partition computes a cluster assignment for initiation interval ii (the
 // MII on the first call; a raised II on recomputation, per §3.1).
 func (p *Partitioner) Partition(ii int) *Result {
+	res, _ := p.PartitionContext(context.Background(), ii)
+	return res
+}
+
+// PartitionContext is Partition with cancellation: each coarsening level
+// and each balancing and cut-minimization move polls ctx without blocking,
+// so a canceled run stops within one move and returns ctx's error and no
+// result. A run that is not canceled returns exactly Partition's result.
+func (p *Partitioner) PartitionContext(ctx context.Context, ii int) (*Result, error) {
+	p.done = ctx.Done()
 	n := p.g.N()
 	p.screenLB, p.screenExact, p.screenFull = 0, 0, 0
 	res := &Result{Assign: make([]int, n), Levels: 1}
 	if p.m.Clusters <= 1 || n == 0 {
 		est := p.evaluate(res.Assign, ii)
 		res.IIBus, res.NComm, res.EstTime, res.EstII = est.iiBus, est.nComm, est.t, est.ii
-		return res
+		return res, nil
 	}
 
 	p.computeWeights(ii)
@@ -215,19 +231,36 @@ func (p *Partitioner) Partition(ii int) *Result {
 	// One incremental engine carries the cut/count/transfer state across
 	// all levels; its moves mutate res.Assign in place.
 	en := newEngine(p, res.Assign)
-	for li := len(levels) - 1; li >= 0; li-- {
+	for li := len(levels) - 1; li >= 0 && !p.canceled(); li-- {
 		lv := levels[li]
 		res.Moves += p.balance(lv, en, ii)
 		if !p.opts.SkipRefinement {
 			res.Moves += p.minimizeCut(lv, en, ii)
 		}
 	}
+	// A canceled level or move loop stops early, so its partial assignment
+	// is not Partition's: discard it. Cancellation is permanent, so this
+	// one check sees any earlier one.
+	if p.canceled() {
+		return nil, ctx.Err()
+	}
 
 	final := p.evaluate(res.Assign, ii)
 	res.IIBus, res.NComm = final.iiBus, final.nComm
 	res.EstTime, res.EstII = final.t, final.ii
 	res.ScreenLowerBound, res.ScreenExact, res.ScreenFull = p.screenLB, p.screenExact, p.screenFull
-	return res
+	return res, nil
+}
+
+// canceled reports, without blocking, whether the running
+// PartitionContext call's context is done.
+func (p *Partitioner) canceled() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // EvaluateForBenchmark runs the internal partition-quality estimator once
@@ -412,7 +445,7 @@ func (p *Partitioner) coarsen() []*level {
 	p.collapseEdgesInto(lv0)
 	count := 1
 
-	for cur := lv0; len(cur.groups) > p.m.Clusters; {
+	for cur := lv0; len(cur.groups) > p.m.Clusters && !p.canceled(); {
 		gg := &graph.Graph{N: len(cur.groups), Edges: cur.edges}
 		var m *graph.Matching
 		if p.opts.GreedyMatchingOnly {

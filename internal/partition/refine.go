@@ -235,7 +235,7 @@ func (p *Partitioner) balance(lv *level, en *engine, ii int) int {
 	moves := 0
 	limit := p.maxMoves()
 	gcs := p.groupCountsOf(lv)
-	for moves < limit {
+	for moves < limit && !p.canceled() {
 		// Only the capping II is needed here — skip the cut-slack
 		// tie-break half of the estimate.
 		cur := en.estimateFast(ii)
@@ -351,7 +351,7 @@ func (p *Partitioner) minimizeCut(lv *level, en *engine, ii int) int {
 		p.sc.destSeen[i] = false
 	}
 
-	for moves < limit {
+	for moves < limit && !p.canceled() {
 		cur := en.estimate(ii)
 		counts := en.counts
 		capII := cur.ii

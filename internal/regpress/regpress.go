@@ -29,6 +29,21 @@ func New(ii int) *Pressure {
 	return &Pressure{II: ii, live: make([]int, ii)}
 }
 
+// Reset empties the tracker for initiation interval ii ≥ 1, keeping its
+// buffers' capacity.
+func (p *Pressure) Reset(ii int) {
+	if ii < 1 {
+		panic(fmt.Sprintf("regpress: II %d < 1", ii))
+	}
+	p.II, p.used = ii, 0
+	if cap(p.live) < ii {
+		p.live = make([]int, ii)
+	} else {
+		p.live = p.live[:ii]
+		clear(p.live)
+	}
+}
+
 // spanApply adds delta to every slot covered by [start, end), walking at
 // most min(end−start, ii) cycles: a span of length L ≥ ii saturates every
 // modulo slot ⌊L/ii⌋ times (whole-window fast path, one pass over buf),
@@ -136,10 +151,10 @@ func (p *Pressure) CanAdd(spans []Span, regs int) bool {
 	if len(spans) == 0 {
 		return p.MaxLive() <= regs
 	}
-	if p.scratch == nil {
+	if cap(p.scratch) < p.II {
 		p.scratch = make([]int, p.II)
 	}
-	tmp := p.scratch
+	tmp := p.scratch[:p.II]
 	copy(tmp, p.live)
 	for _, sp := range spans {
 		spanApply(tmp, p.II, sp.Start, sp.End, 1)

@@ -1,7 +1,10 @@
 package schedule
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ddg"
@@ -87,11 +90,12 @@ func TestPlanPlaceAllocFree(t *testing.T) {
 }
 
 // tryScheduleAllocsPerNode bounds TrySchedule's allocations per loop node
-// on the medium loop: newState's tables, Order and StartTimes, the
-// value routing each placement creates and the finished Schedule — all
-// O(N). The loop probes hundreds of candidate slots, so an allocation per
-// candidate would exceed it several times over.
-const tryScheduleAllocsPerNode = 12
+// on the medium loop: the Loop's groups and adjacency, the attempt state's
+// tables, the value routing each placement creates and the finished
+// Schedule — all O(N). The loop probes hundreds of candidate slots, so an
+// allocation per candidate would exceed it several times over. Measured:
+// 171 allocations on the 40-node loop.
+const tryScheduleAllocsPerNode = 5
 
 func TestTryScheduleAllocsBounded(t *testing.T) {
 	g, m, assign, ii := mediumLoop(t)
@@ -99,5 +103,58 @@ func TestTryScheduleAllocsBounded(t *testing.T) {
 	n := testing.AllocsPerRun(5, func() { TrySchedule(g, m, ii, opts) })
 	if bound := float64(tryScheduleAllocsPerNode * g.N()); n > bound {
 		t.Errorf("TrySchedule made %v allocations on a %d-node loop, want ≤ %v", n, g.N(), bound)
+	}
+	// An attempt in a warmed Workspace of a built Loop allocates only what
+	// its placements route and the Schedule it returns.
+	lp, ws := NewLoop(g, m), &Workspace{}
+	lp.TryContext(context.Background(), ws, ii, opts)
+	reused := testing.AllocsPerRun(5, func() { lp.TryContext(context.Background(), ws, ii, opts) })
+	t.Logf("TrySchedule: %v allocations; reused Loop and Workspace: %v", n, reused)
+	if reused >= n/2 {
+		t.Errorf("TryContext in a reused Workspace made %v allocations, want < half of TrySchedule's %v", reused, n)
+	}
+}
+
+// TestWorkspaceReuseMatchesFresh pins the Workspace rule: an attempt's
+// outcome does not depend on what the Workspace ran before — other IIs,
+// higher and lower, other modes and other loops and machines.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	machines := []*machine.Config{machine.MustClustered(2, 32, 1, 1), machine.MustClustered(4, 64, 1, 2)}
+	var ws Workspace
+	for trial := 0; trial < 30; trial++ {
+		g := randomLoop(r, 5+r.Intn(40))
+		m := machines[trial%len(machines)]
+		lp := NewLoop(g, m)
+		assign := make([]int, g.N())
+		for v := range assign {
+			assign[v] = r.Intn(m.Clusters)
+		}
+		mii := g.MII(m)
+		for _, ii := range []int{mii + 3, mii, mii + 1, mii + 7, mii + 2} {
+			for _, opts := range []*Options{{Mode: ModeGP, Assign: assign}, {Mode: ModeFixed, Assign: assign}, {Mode: ModeURACAM}} {
+				want, wantFail := TrySchedule(g, m, ii, opts)
+				got, gotFail, err := lp.TryContext(context.Background(), &ws, ii, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotFail, wantFail) {
+					t.Fatalf("trial %d II %d mode %v: reused Workspace gave %+v, %v; fresh gave %+v, %v",
+						trial, ii, opts.Mode, got, gotFail, want, wantFail)
+				}
+			}
+		}
+	}
+}
+
+// TestTryContextCanceled pins that a done context stops an attempt and
+// returns its error with neither a schedule nor a failure.
+func TestTryContextCanceled(t *testing.T) {
+	g, m, assign, ii := mediumLoop(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, fail, err := NewLoop(g, m).TryContext(ctx, nil, ii, &Options{Mode: ModeGP, Assign: assign})
+	if !errors.Is(err, context.Canceled) || s != nil || fail != nil {
+		t.Fatalf("TryContext on a canceled context = %v, %v, %v; want nil, nil, context.Canceled", s, fail, err)
 	}
 }

@@ -5,6 +5,61 @@ import (
 	"repro/internal/machine"
 )
 
+// Loop is what every II attempt of one loop on one machine shares and no
+// attempt changes: the SMS node groups (recurrences, reachability and the
+// weakly connected remainder, which depend on the graph alone) and the
+// dependence adjacency the order sweeps walk. Build it once per loop with
+// NewLoop; it is read-only afterwards, so goroutines may attempt different
+// IIs of the loop at once, each in its own Workspace.
+type Loop struct {
+	g *ddg.Graph
+	m *machine.Config
+
+	groups       [][]int
+	preds, succs [][]int
+}
+
+// NewLoop builds the II-independent attempt context of g on m.
+func NewLoop(g *ddg.Graph, m *machine.Config) *Loop {
+	lp := &Loop{g: g, m: m}
+	lp.preds, lp.succs = adjacency(g)
+	lp.groups = buildGroups(g, lp.preds, lp.succs)
+	return lp
+}
+
+// adjacency returns every node's predecessors and successors over all
+// dependence edges but self loops (data and memory ordering alike: both
+// constrain placement windows), in edge order, in one backing array.
+func adjacency(g *ddg.Graph) (preds, succs [][]int) {
+	n := g.N()
+	deg := make([]int, 2*n) // in-degrees, then out-degrees
+	for _, e := range g.Edges {
+		if e.From != e.To {
+			deg[e.To]++
+			deg[n+e.From]++
+		}
+	}
+	rows := make([][]int, 2*n)
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	backing := make([]int, total)
+	off := 0
+	for i, d := range deg {
+		rows[i] = backing[off : off : off+d]
+		off += d
+	}
+	preds, succs = rows[:n:n], rows[n:]
+	for _, e := range g.Edges {
+		if e.From != e.To {
+			preds[e.To] = append(preds[e.To], e.From)
+			succs[e.From] = append(succs[e.From], e.To)
+		}
+	}
+	return preds, succs
+}
+
 // Order computes the node scheduling order following the Swing Modulo
 // Scheduling ordering algorithm (Llosa et al., PACT'96), which the paper
 // uses verbatim (§3.3.3): recurrences are processed in decreasing RecMII
@@ -17,8 +72,7 @@ import (
 // so the order can differ between attempts of one loop; SMS as published
 // computes it once, at the MII.
 func Order(g *ddg.Graph, m *machine.Config, ii int) []int {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return nil
 	}
 	times, ok := g.StartTimes(m, ii, nil)
@@ -28,31 +82,44 @@ func Order(g *ddg.Graph, m *machine.Config, ii int) []int {
 		// feasible II to keep Order total.
 		times, _ = g.StartTimes(m, g.RecMII(nil), nil)
 	}
+	var scr orderScratch
+	return NewLoop(g, m).order(times, &scr)
+}
 
-	groups := buildGroups(g)
-	ordered := make([]bool, n)
-	order := make([]int, 0, n)
+// orderScratch is order's per-attempt storage, reused across attempts: the
+// ordered marks, the order itself and the two node sets a sweep works on.
+type orderScratch struct {
+	ordered  []bool
+	order    []int
+	inGroup  nodeSet // the current group's unordered nodes
+	frontier nodeSet // the nodes the current sweep may order next
+}
 
-	// Adjacency over all dependence edges (data and memory ordering alike:
-	// both constrain placement windows).
-	preds := make([][]int, n)
-	succs := make([][]int, n)
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			continue
-		}
-		preds[e.To] = append(preds[e.To], e.From)
-		succs[e.From] = append(succs[e.From], e.To)
+// order is Order for start times already computed at the attempt's II. The
+// returned slice lives in scr and is valid until scr is next used.
+func (lp *Loop) order(times *ddg.Times, scr *orderScratch) []int {
+	n := lp.g.N()
+	preds, succs := lp.preds, lp.succs
+	scr.ordered = resizeBools(scr.ordered, n)
+	clear(scr.ordered)
+	ordered := scr.ordered
+	if cap(scr.order) < n {
+		scr.order = make([]int, 0, n)
 	}
+	order := scr.order[:0]
+	inGroup, frontier := &scr.inGroup, &scr.frontier
+	inGroup.resize(n)
+	frontier.resize(n)
 
 	mobility := func(v int) int { return times.Latest[v] - times.Earliest[v] }
 
 	// pick returns the best candidate of set under the sweep direction:
 	// most critical first (lowest mobility); ties prefer earlier ASAP for
 	// top-down sweeps and later ALAP for bottom-up ones; final tie on ID.
-	pick := func(set map[int]bool, topDown bool) int {
+	// The ranking is total, so the pick does not depend on set order.
+	pick := func(set *nodeSet, topDown bool) int {
 		best := -1
-		for v := range set {
+		for _, v := range set.list {
 			if best == -1 {
 				best = v
 				continue
@@ -80,111 +147,108 @@ func Order(g *ddg.Graph, m *machine.Config, ii int) []int {
 		return best
 	}
 
-	for _, group := range groups {
-		inGroup := make(map[int]bool, len(group))
-		for _, v := range group {
-			if !ordered[v] {
-				inGroup[v] = true
+	// seed fills the frontier with the group nodes that have an ordered
+	// neighbor in adj (predecessors for a top-down sweep, successors for a
+	// bottom-up one).
+	seed := func(adj [][]int) {
+		for _, w := range inGroup.list {
+			for _, x := range adj[w] {
+				if ordered[x] {
+					frontier.add(w)
+					break
+				}
 			}
 		}
-		for len(inGroup) > 0 {
-			// Seed set: group nodes adjacent to already-ordered nodes.
-			td := map[int]bool{} // have an ordered predecessor → top-down
-			bu := map[int]bool{} // have an ordered successor → bottom-up
-			for v := range inGroup {
-				for _, p := range preds[v] {
-					if ordered[p] {
-						td[v] = true
-						break
-					}
-				}
-				for _, s := range succs[v] {
-					if ordered[s] {
-						bu[v] = true
-						break
-					}
-				}
+	}
+
+	for _, group := range lp.groups {
+		inGroup.clear()
+		for _, v := range group {
+			if !ordered[v] {
+				inGroup.add(v)
 			}
+		}
+		for inGroup.len() > 0 {
+			// Seed set: group nodes adjacent to already-ordered nodes, top
+			// down from ordered predecessors if there are any, else bottom
+			// up from ordered successors.
+			frontier.clear()
 			topDown := true
-			var frontier map[int]bool
-			switch {
-			case len(td) > 0:
-				frontier = td
-			case len(bu) > 0:
-				frontier, topDown = bu, false
-			default:
+			seed(preds)
+			if frontier.len() == 0 {
+				topDown = false
+				seed(succs)
+			}
+			if frontier.len() == 0 {
 				// Nothing ordered yet touches this group: start top-down
 				// from the group's most critical source-like node.
-				frontier = map[int]bool{pick(inGroup, true): true}
+				topDown = true
+				frontier.add(pick(inGroup, true))
 			}
 			// Sweep until the frontier empties; then swing direction.
-			for len(frontier) > 0 {
+			for frontier.len() > 0 {
 				v := pick(frontier, topDown)
-				delete(frontier, v)
+				frontier.remove(v)
 				if ordered[v] {
 					continue
 				}
 				ordered[v] = true
-				delete(inGroup, v)
+				inGroup.remove(v)
 				order = append(order, v)
 				// Grow the frontier along the sweep direction.
-				var next []int
+				next := preds[v]
 				if topDown {
 					next = succs[v]
-				} else {
-					next = preds[v]
 				}
 				for _, w := range next {
-					if inGroup[w] && !ordered[w] {
-						frontier[w] = true
+					if inGroup.has(w) && !ordered[w] {
+						frontier.add(w)
 					}
 				}
-				if len(frontier) == 0 {
+				if frontier.len() == 0 {
 					// Swing: continue in the opposite direction from the
 					// nodes adjacent to what has been ordered so far.
 					topDown = !topDown
-					for w := range inGroup {
-						adj := preds[w]
-						if !topDown {
-							adj = succs[w]
-						}
-						for _, x := range adj {
-							if ordered[x] {
-								frontier[w] = true
-								break
-							}
-						}
+					if topDown {
+						seed(preds)
+					} else {
+						seed(succs)
 					}
-					if len(frontier) == 0 {
+					if frontier.len() == 0 {
 						break // disconnected remainder: outer loop reseeds
 					}
 				}
 			}
 		}
 	}
+	scr.order = order
 	return order
 }
 
 // buildGroups returns the SMS set list: one group per recurrence in
 // decreasing RecMII order, each union the nodes on paths between it and the
 // previously grouped nodes; remaining nodes form one final group per
-// weakly-connected component.
-func buildGroups(g *ddg.Graph) [][]int {
+// weakly-connected component (found over preds and succs). Every node is in
+// exactly one group, so the groups share one backing array. Order uses a
+// group only as a set: the order of its members is immaterial.
+func buildGroups(g *ddg.Graph, preds, succs [][]int) [][]int {
 	n := g.N()
 	recs := g.Recurrences()
-	grouped := make([]bool, n)
+	grouped := make([]bool, 2*n)
+	grouped, group := grouped[:n:n], grouped[n:] // group: the one being built
+	flat := make([]int, 0, n)
 	var groups [][]int
 
 	reach := reachability(g)
 
 	for _, rec := range recs {
-		group := map[int]bool{}
+		empty := true
 		for _, v := range rec.Nodes {
 			if !grouped[v] {
-				group[v] = true
+				group[v], empty = true, false
 			}
 		}
-		if len(group) == 0 {
+		if empty {
 			continue
 		}
 		// Nodes on paths between earlier groups and this recurrence:
@@ -217,43 +281,40 @@ func buildGroups(g *ddg.Graph) [][]int {
 				group[v] = true
 			}
 		}
-		flat := make([]int, 0, len(group))
+		start := len(flat)
 		for v := 0; v < n; v++ {
 			if group[v] {
 				flat = append(flat, v)
-				grouped[v] = true
+				grouped[v], group[v] = true, false
 			}
 		}
-		groups = append(groups, flat)
+		groups = append(groups, flat[start:])
 	}
 
-	// Remaining nodes: weakly-connected components, in node-ID order.
-	undirected := make([][]int, n)
-	for _, e := range g.Edges {
-		if e.From != e.To {
-			undirected[e.From] = append(undirected[e.From], e.To)
-			undirected[e.To] = append(undirected[e.To], e.From)
-		}
-	}
+	// Remaining nodes: weakly-connected components, in node-ID order of
+	// their first member.
+	var stack []int
 	for v := 0; v < n; v++ {
 		if grouped[v] {
 			continue
 		}
-		var comp []int
-		stack := []int{v}
+		start := len(flat)
+		stack = append(stack[:0], v)
 		grouped[v] = true
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, x)
-			for _, w := range undirected[x] {
-				if !grouped[w] {
-					grouped[w] = true
-					stack = append(stack, w)
+			flat = append(flat, x)
+			for _, adj := range [2][]int{succs[x], preds[x]} {
+				for _, w := range adj {
+					if !grouped[w] {
+						grouped[w] = true
+						stack = append(stack, w)
+					}
 				}
 			}
 		}
-		groups = append(groups, comp)
+		groups = append(groups, flat[start:])
 	}
 	return groups
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ddg"
@@ -131,18 +132,47 @@ func (s *Schedule) Stages() int {
 // TrySchedule attempts a modulo schedule of g on m at initiation interval
 // ii. It returns the schedule, or the failure that ended the attempt (the
 // driver then raises the II and possibly recomputes the partition, §3.1).
+// It is TryContext on a fresh Loop and Workspace.
 func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Schedule, *Failure) {
+	s, fail, _ := NewLoop(g, m).TryContext(context.Background(), nil, ii, opts)
+	return s, fail
+}
+
+// Workspace is one goroutine's attempt state: the scheduling state with
+// its candidate scratch, the start times and the order work lists. Reusing
+// one across attempts keeps its buffers' capacity, never their content
+// (the partition.Arena rule), so an attempt's outcome does not depend on
+// what the Workspace ran before. It serves one attempt at a time; the zero
+// value is ready to use.
+type Workspace struct {
+	st     state
+	static ddg.Times
+	ord    orderScratch
+	queue  []int
+}
+
+// TryContext is TrySchedule for the loop lp in ws (nil for a fresh
+// workspace). It polls ctx without blocking at the head of every
+// work-list step; once ctx is done it returns ctx's error and neither a
+// schedule nor a failure.
+func (lp *Loop) TryContext(ctx context.Context, ws *Workspace, ii int, opts *Options) (*Schedule, *Failure, error) {
+	g, m := lp.g, lp.m
 	if opts == nil {
 		opts = &Options{Mode: ModeURACAM}
 	}
 	if (opts.Mode == ModeGP || opts.Mode == ModeFixed) && len(opts.Assign) != g.N() {
 		panic("schedule: partition-following mode without an assignment")
 	}
-	st := newState(g, m, ii)
-	order := Order(g, m, ii)
-	static, ok := g.StartTimes(m, ii, nil)
-	if !ok {
-		return nil, &Failure{Node: -1, Reason: FailWindow}
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	st := &ws.st
+	st.reset(g, m, ii)
+	// The order ranks nodes by the same start times the placement windows
+	// of unconstrained nodes use.
+	static := &ws.static
+	if !g.StartTimesInto(m, ii, nil, static) {
+		return nil, &Failure{Node: -1, Reason: FailWindow}, nil
 	}
 
 	maxTransforms := opts.MaxTransforms
@@ -153,8 +183,15 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 	ejections := 0
 	maxEjections := 2*g.N() + 8
 
-	queue := append([]int(nil), order...)
+	done := ctx.Done()
+	queue := append(ws.queue[:0], lp.order(static, &ws.ord)...)
+	defer func() { ws.queue = queue[:0] }()
 	for qi := 0; qi < len(queue); qi++ {
+		select {
+		case <-done:
+			return nil, nil, ctx.Err()
+		default:
+		}
 		v := queue[qi]
 		if st.sched[v] {
 			continue // re-placed before its ejected entry came up again
@@ -181,7 +218,7 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 			}
 		}
 		if !placed {
-			return nil, &Failure{Node: v, Reason: lastFail}
+			return nil, &Failure{Node: v, Reason: lastFail}, nil
 		}
 		if debugChecks {
 			if err := st.checkInvariants(); err != nil {
@@ -194,7 +231,7 @@ func TrySchedule(g *ddg.Graph, m *machine.Config, ii int, opts *Options) (*Sched
 			panic(fmt.Sprintf("schedule: node %d left unscheduled after work list drained", v))
 		}
 	}
-	return st.finish(transforms), nil
+	return st.finish(transforms), nil, nil
 }
 
 // placeNode tries every allowed cluster for node v and applies the best

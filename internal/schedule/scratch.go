@@ -5,12 +5,13 @@ import "repro/internal/regpress"
 // scratch is the candidate loop's reusable storage. Every candidate
 // (cluster, cycle) slot of one II attempt is planned, register-checked and
 // compared in these buffers, so probing a slot allocates nothing once the
-// buffers have grown to the loop's size. It is created by newState and
-// owned by that state's TrySchedule call: portfolio racers and parallel
-// bench runners each schedule in their own state and share nothing.
+// buffers have grown to the loop's size. It belongs to one state, and so
+// to one Workspace: concurrent attempts each schedule in their own and
+// share nothing.
 //
-// Buffers keep capacity between candidates, never content: each user
-// resets what it reads before reading it.
+// Buffers keep capacity between candidates and between attempts, never
+// content: each user resets what it reads before reading it, and reset
+// zeroes what no user does.
 type scratch struct {
 	// planPlace: tentative transfer occupancy by channel·II+slot and
 	// memory-port occupancy by cluster·II+slot.
@@ -42,25 +43,30 @@ type scratch struct {
 	targets []target
 }
 
-func newScratch(n, clusters, channels, ii int) scratch {
-	sc := scratch{
-		xfer:       newDeltas(channels * ii),
-		mem:        newDeltas(clusters * ii),
-		crossNeeds: make([]int, clusters),
-		addUnits:   make([]int64, clusters),
-		memUsed:    make([]int64, clusters),
-		clusters:   make([]int, 0, clusters),
-		views:      make([]regView, n),
-		viewed:     newNodeSet(n),
-		touched:    newNodeSet(n),
+// reset readies the scratch for an attempt at ii on a loop of n nodes,
+// keeping every buffer's capacity. Only the occupancy tables are sized by
+// the II, and they start each attempt zeroed; the rest is reset by its
+// users before they read it.
+func (sc *scratch) reset(n, clusters, channels, ii int) {
+	sc.xfer.resize(channels * ii)
+	sc.mem.resize(clusters * ii)
+	sc.crossNeeds = resizeInts(sc.crossNeeds, clusters)
+	sc.addUnits = resizeInt64s(sc.addUnits, clusters)
+	sc.memUsed = resizeInt64s(sc.memUsed, clusters)
+	if cap(sc.clusters) < clusters {
+		sc.clusters = make([]int, 0, clusters)
 	}
-	uses := make([]int, 2*n*clusters)
-	for i := range sc.views {
-		vw := &sc.views[i]
-		vw.minUse, uses = uses[:clusters:clusters], uses[clusters:]
-		vw.maxUse, uses = uses[:clusters:clusters], uses[clusters:]
+	if len(sc.views) != n || n > 0 && len(sc.views[0].minUse) != clusters {
+		sc.views = make([]regView, n)
+		uses := make([]int, 2*n*clusters)
+		for i := range sc.views {
+			vw := &sc.views[i]
+			vw.minUse, uses = uses[:clusters:clusters], uses[clusters:]
+			vw.maxUse, uses = uses[:clusters:clusters], uses[clusters:]
+		}
 	}
-	return sc
+	sc.viewed.resize(n)
+	sc.touched.resize(n)
 }
 
 // deltas is a dense table of tentative occupancy changes with a list of
@@ -73,8 +79,13 @@ type deltas struct {
 	touched []int
 }
 
-func newDeltas(n int) deltas {
-	return deltas{d: make([]int, n), marked: make([]bool, n)}
+// resize makes ds an all-zero table of n entries, keeping its capacity.
+func (ds *deltas) resize(n int) {
+	ds.d = resizeInts(ds.d, n)
+	ds.marked = resizeBools(ds.marked, n)
+	clear(ds.d)
+	clear(ds.marked)
+	ds.touched = ds.touched[:0]
 }
 
 func (ds *deltas) add(i, delta int) {
@@ -98,23 +109,38 @@ type plannedXfer struct {
 	val, dest, start int
 }
 
-// nodeSet is a set of node IDs kept in first-insertion order and emptied
-// in O(1) by advancing a generation stamp.
+// nodeSet is a set of node IDs emptied in O(1) by advancing a generation
+// stamp. list holds the members in first-insertion order until the first
+// remove, which moves the last member into the removed one's place.
 type nodeSet struct {
 	stamp []uint32
 	gen   uint32
 	list  []int
+	pos   []int32 // member → its index in list
 }
 
-func newNodeSet(n int) nodeSet { return nodeSet{stamp: make([]uint32, n), gen: 1} }
+// resize makes s an empty set over node IDs 0..n-1, keeping its storage's
+// capacity.
+func (s *nodeSet) resize(n int) {
+	if cap(s.stamp) >= n {
+		s.stamp, s.pos = s.stamp[:n], s.pos[:n]
+	} else {
+		s.stamp, s.pos, s.list = make([]uint32, n), make([]int32, n), make([]int, 0, n)
+	}
+	s.clear()
+}
 
 func (s *nodeSet) clear() {
 	s.list = s.list[:0]
 	if s.gen++; s.gen == 0 { // wrapped: old stamps would look current
-		clear(s.stamp)
+		clear(s.stamp[:cap(s.stamp)])
 		s.gen = 1
 	}
 }
+
+func (s *nodeSet) has(id int) bool { return s.stamp[id] == s.gen }
+
+func (s *nodeSet) len() int { return len(s.list) }
 
 // add inserts id and reports whether it was absent.
 func (s *nodeSet) add(id int) bool {
@@ -122,8 +148,20 @@ func (s *nodeSet) add(id int) bool {
 		return false
 	}
 	s.stamp[id] = s.gen
+	s.pos[id] = int32(len(s.list))
 	s.list = append(s.list, id)
 	return true
+}
+
+// remove deletes id if present. Stamp 0 is never a current generation.
+func (s *nodeSet) remove(id int) {
+	if s.stamp[id] != s.gen {
+		return
+	}
+	s.stamp[id] = 0
+	i, last := s.pos[id], s.list[len(s.list)-1]
+	s.list[i], s.pos[last] = last, i
+	s.list = s.list[:len(s.list)-1]
 }
 
 // regView is checkRegs' hypothetical copy of one touched value: tmp is the
@@ -206,4 +244,27 @@ func emptyMap(m *map[int]int) map[int]int {
 		clear(*m)
 	}
 	return *m
+}
+
+// resizeInts returns s resliced to length n, reallocating only when the
+// capacity is insufficient. Contents are unspecified.
+func resizeInts(s []int, n int) []int {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int, n)
+}
+
+func resizeInt64s(s []int64, n int) []int64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int64, n)
+}
+
+func resizeBools(s []bool, n int) []bool {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]bool, n)
 }

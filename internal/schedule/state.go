@@ -191,30 +191,56 @@ type state struct {
 }
 
 func newState(g *ddg.Graph, m *machine.Config, ii int) *state {
-	st := &state{
-		g: g, m: m, ii: ii,
-		time:    make([]int, g.N()),
-		cluster: make([]int, g.N()),
-		sched:   make([]bool, g.N()),
-		rt:      mrt.New(m, ii),
-		press:   make([]*regpress.Pressure, m.Clusters),
-		vals:    make([]*value, g.N()),
-		sc:      newScratch(g.N(), m.Clusters, m.Channels(), ii),
+	st := &state{}
+	st.reset(g, m, ii)
+	return st
+}
+
+// reset readies st for an attempt of g on m at ii, as newState would
+// build it, keeping the capacity of every buffer it already has.
+func (st *state) reset(g *ddg.Graph, m *machine.Config, ii int) {
+	n, k := g.N(), m.Clusters
+	if st.rt == nil || st.m != m {
+		st.rt = mrt.New(m, ii)
+	} else {
+		st.rt.Reset(ii)
 	}
+	st.g, st.m, st.ii = g, m, ii
+	st.time = resizeInts(st.time, n)
+	st.cluster = resizeInts(st.cluster, n)
 	for i := range st.time {
 		st.time[i], st.cluster[i] = -1, -1
 	}
-	st.valBuf = make([]value, g.N())
-	uses := make([]int, 2*g.N()*m.Clusters)
-	for i := range st.valBuf {
-		val := &st.valBuf[i]
-		val.minUse, uses = uses[:m.Clusters:m.Clusters], uses[m.Clusters:]
-		val.maxUse, uses = uses[:m.Clusters:m.Clusters], uses[m.Clusters:]
+	st.sched = resizeBools(st.sched, n)
+	clear(st.sched)
+	if len(st.press) != k {
+		st.press = make([]*regpress.Pressure, k)
 	}
-	for c := range st.press {
-		st.press[c] = regpress.New(ii)
+	for c, p := range st.press {
+		if p == nil {
+			st.press[c] = regpress.New(ii)
+		} else {
+			p.Reset(ii)
+		}
 	}
-	return st
+	if cap(st.vals) >= n {
+		st.vals = st.vals[:n]
+		clear(st.vals)
+	} else {
+		st.vals = make([]*value, n)
+	}
+	// newValueOf resets a valBuf entry when its node is placed.
+	if len(st.valBuf) != n || n > 0 && len(st.valBuf[0].minUse) != k {
+		st.valBuf = make([]value, n)
+		uses := make([]int, 2*n*k)
+		for i := range st.valBuf {
+			val := &st.valBuf[i]
+			val.minUse, uses = uses[:k:k], uses[k:]
+			val.maxUse, uses = uses[:k:k], uses[k:]
+		}
+	}
+	st.nMemOps = [2]int{}
+	st.sc.reset(n, k, m.Channels(), ii)
 }
 
 // addSpans registers the spans of value v in cluster c with the pressure

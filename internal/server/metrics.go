@@ -40,6 +40,15 @@ type metrics struct {
 	screenExact atomic.Int64
 	screenFull  atomic.Int64
 
+	// II escalation work, summed the same way: the attempts the §3.1 walk
+	// counts, the loops it gave up on (list-scheduled), and the attempts
+	// idle cores ran above a loop's winning II and threw away. Attempts
+	// over attempts plus discarded is the useful share of the
+	// scheduling work.
+	scheduleAttempts  atomic.Int64
+	listFallbacks     atomic.Int64
+	discardedAttempts atomic.Int64
+
 	// portfolioWins counts, per seed index, how often that seed produced
 	// the served schedule of a portfolio (K>1) computation.
 	portfolioWins [maxRequestPortfolio]atomic.Int64
@@ -113,6 +122,9 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheEntries int, epoch uint64
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"lower_bound\"} %d\n", m.screenLB.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"exact_t\"} %d\n", m.screenExact.Load())
 	fmt.Fprintf(w, "gpserved_refine_screen_total{stage=\"full_eval\"} %d\n", m.screenFull.Load())
+	fmt.Fprintf(w, "gpserved_schedule_attempts_total %d\n", m.scheduleAttempts.Load())
+	fmt.Fprintf(w, "gpserved_list_fallbacks_total %d\n", m.listFallbacks.Load())
+	fmt.Fprintf(w, "gpserved_discarded_attempts_total %d\n", m.discardedAttempts.Load())
 	for seed := range m.portfolioWins {
 		if n := m.portfolioWins[seed].Load(); n > 0 {
 			fmt.Fprintf(w, "gpserved_portfolio_wins_total{seed=\"%d\"} %d\n", seed, n)

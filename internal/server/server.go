@@ -516,6 +516,11 @@ func (s *Server) compute(key string, job *scheduleJob, epoch uint64, tr *obs.Tra
 	s.metrics.screenLB.Add(res.ScreenLowerBound)
 	s.metrics.screenExact.Add(res.ScreenExact)
 	s.metrics.screenFull.Add(res.ScreenFull)
+	s.metrics.scheduleAttempts.Add(int64(res.Attempts))
+	s.metrics.discardedAttempts.Add(int64(res.Discarded))
+	if res.ListFallback {
+		s.metrics.listFallbacks.Add(1)
+	}
 	// The oracle gate: nothing unverified is ever served or cached.
 	ver := time.Now()
 	if err := schedule.Verify(job.g, job.m, res.Schedule); err != nil {

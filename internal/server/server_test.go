@@ -430,10 +430,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gpserved_queue_depth",
 		"gpserved_latency_p50_seconds",
 		"gpserved_latency_p99_seconds",
+		"gpserved_list_fallbacks_total 0",
+		"gpserved_discarded_attempts_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// One cold schedule tried at least one II.
+	var attempts int
+	for _, line := range strings.Split(string(body), "\n") {
+		fmt.Sscanf(line, "gpserved_schedule_attempts_total %d", &attempts)
+	}
+	if attempts < 1 {
+		t.Errorf("gpserved_schedule_attempts_total = %d after a cold schedule, want ≥ 1", attempts)
 	}
 }
 
